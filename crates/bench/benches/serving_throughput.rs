@@ -443,7 +443,7 @@ fn record_mixed_qos(opts: &BenchOpts, sess: &Session, requests: &[Vec<Tensor>]) 
 
 /// One overload arm: `OV_CLIENTS` closed-loop clients per class keep the
 /// queue saturated for `window`; every request is measured at the client.
-/// With `slo` set, requests go through `submit_slo_with` (all three shed
+/// With `slo` set, requests are submitted with `AdmissionMode::Slo` (all three shed
 /// points armed) and a shed resolves the ticket immediately; without, the
 /// PR 5 path — backpressure only, every admitted request served however
 /// stale. Returns per-class `(goodput req/s, completed, shed)` where
@@ -504,7 +504,8 @@ fn overload_arm(
                         i += 1;
                         let sent = Instant::now();
                         let submitted = if shed {
-                            client.submit_slo(feeds, Duration::from_nanos(slo_ns))
+                            let slo = AdmissionMode::Slo(Duration::from_nanos(slo_ns));
+                            client.submit(Request::new(feeds).mode(slo))
                         } else {
                             client.submit(feeds)
                         };

@@ -4,8 +4,8 @@
 use rdg_autodiff::build_training_module;
 use rdg_data::{Dataset, Split};
 use rdg_exec::{
-    ExecError, Executor, GradStore, LatencyPercentiles, ParamStore, Priority, ReplicaSnapshot,
-    ServeConfig, ServeError, Session,
+    AdmissionMode, ExecError, Executor, GradStore, LatencyPercentiles, ParamStore, Priority,
+    ReplicaSnapshot, Request, ServeConfig, ServeError, Session,
 };
 use rdg_models::{build_recursive, ModelConfig};
 use rdg_nn::{Adagrad, Optimizer};
@@ -224,7 +224,7 @@ pub struct ServeClusterConfig {
     pub routing: Routing,
     /// End-to-end SLO attached to every request. `None` submits without
     /// deadlines (PR 5 behavior: backpressure only, never shedding);
-    /// `Some` routes through `submit_slo_with`, so all three shed points
+    /// `Some` submits with [`AdmissionMode::Slo`], so all three shed points
     /// — predictive admission, pop-time eviction, mid-service
     /// cancellation — are armed on every replica.
     pub slo: Option<Duration>,
@@ -237,7 +237,8 @@ pub struct ServeClusterReport {
     pub n_machines: usize,
     /// Requests completed across all machines.
     pub completed: u64,
-    /// `try_submit` bounces observed across all machines (backpressure).
+    /// [`AdmissionMode::NoWait`] bounces observed across all machines
+    /// (backpressure).
     pub rejected: u64,
     /// Requests shed against their SLO across all machines, at any of the
     /// three shed points (pop-time eviction + mid-service cancellation +
@@ -331,14 +332,10 @@ pub fn serve_real(
                     };
                     let feeds = requests[(c * 31 + i) % requests.len()].clone();
                     let sent = Instant::now();
-                    let result = match cfg.slo {
-                        Some(slo) => clients[machine]
-                            .submit_slo_with(class, feeds, slo)
-                            .and_then(|ticket| ticket.wait()),
-                        None => clients[machine]
-                            .submit_with(class, feeds)
-                            .and_then(|ticket| ticket.wait()),
-                    };
+                    let mode = cfg.slo.map_or(AdmissionMode::Block, AdmissionMode::Slo);
+                    let result = clients[machine]
+                        .submit(Request::new(feeds).class(class).mode(mode))
+                        .and_then(|ticket| ticket.wait());
                     match result {
                         Ok(_) => mine.push(sent.elapsed().as_nanos() as u64),
                         // Shed or expired against the SLO: legal outcomes,

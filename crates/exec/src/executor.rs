@@ -58,11 +58,11 @@ use crate::path::PathKey;
 use crate::plan::{ExecutionPlan, ModulePlan, PreludeValue};
 use crate::queue::{ReadyQueue, SchedulerKind};
 use crate::stats::{ExecStats, StatsSnapshot};
-use crossbeam_channel::{bounded, Receiver, Sender};
 use parking_lot::Mutex;
 use rdg_graph::{GraphRef, NodeId, OpKind, PortRef};
 use rdg_tensor::Tensor;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -252,7 +252,7 @@ pub struct RunContext {
     cache: Option<Arc<BackpropCache>>,
     finished: AtomicBool,
     cancelled: AtomicBool,
-    done_tx: Sender<Result<Vec<Tensor>, ExecError>>,
+    done_tx: SyncSender<Result<Vec<Tensor>, ExecError>>,
     queue: Arc<ReadyQueue<Task>>,
     /// This run's private counters (exposed via [`RunHandle::stats`]).
     run_stats: Arc<ExecStats>,
@@ -362,11 +362,13 @@ impl RunHandle {
 
 /// Runtime switch for cross-request batch fusion, shared with every worker.
 ///
-/// Off by default so a bare [`Executor::run`] takes the scalar path
-/// byte-for-byte; the serving stack turns it on at dispatcher start
-/// (`ServeConfig::cross_request_batching`).
+/// Fusion is on while at least one serving loop that asked for it
+/// (`ServeConfig::cross_request_batching`) is live, so a bare
+/// [`Executor::run`] on an executor no loop is using takes the scalar
+/// path byte-for-byte.
 struct FusionCtl {
-    enabled: AtomicBool,
+    /// Live serving loops holding fusion on.
+    loops: AtomicUsize,
     max_group: AtomicUsize,
 }
 
@@ -389,7 +391,7 @@ impl Executor {
         let queue = Arc::new(ReadyQueue::new(kind));
         let stats = Arc::new(ExecStats::new());
         let fusion = Arc::new(FusionCtl {
-            enabled: AtomicBool::new(false),
+            loops: AtomicUsize::new(0),
             max_group: AtomicUsize::new(batch::DEFAULT_MAX_GROUP),
         });
         let workers = (0..n_threads)
@@ -401,7 +403,7 @@ impl Executor {
                     .spawn(move || {
                         let mut batch: Vec<Task> = Vec::with_capacity(FUSED_TASK_BATCH);
                         loop {
-                            let fuse = fusion.enabled.load(Ordering::Relaxed);
+                            let fuse = fusion.loops.load(Ordering::Relaxed) > 0;
                             let take = if fuse { FUSED_TASK_BATCH } else { TASK_BATCH };
                             if !q.pop_batch(&mut batch, take) {
                                 break;
@@ -455,24 +457,36 @@ impl Executor {
         })
     }
 
-    /// Turns cross-request batch fusion on or off for this executor's
-    /// workers and sets the fused-group size clamp.
+    /// Registers one more live serving loop that wants cross-request
+    /// batch fusion, and sets the fused-group size clamp. Fusion stays on
+    /// until every registered loop has called
+    /// [`Executor::release_cross_request_fusion`], so one loop's shutdown
+    /// never turns it off under another loop sharing this executor.
     ///
     /// Fusion is **off** by default: a bare [`Executor::run`] executes the
-    /// scalar path byte-for-byte. The serving dispatcher enables it when
-    /// `ServeConfig::cross_request_batching` is set. The switch is safe to
-    /// flip at any time — it only changes how workers drain the ready
-    /// queue, never what a task computes.
-    pub fn set_cross_request_fusion(&self, enabled: bool, max_group: usize) {
+    /// scalar path byte-for-byte. The switch is safe to flip at any time —
+    /// it only changes how workers drain the ready queue, never what a
+    /// task computes.
+    pub(crate) fn retain_cross_request_fusion(&self, max_group: usize) {
         self.fusion
             .max_group
             .store(max_group.max(1), Ordering::Relaxed);
-        self.fusion.enabled.store(enabled, Ordering::Relaxed);
+        self.fusion.loops.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Drops one registration made by
+    /// [`Executor::retain_cross_request_fusion`]; fusion turns off with
+    /// the last one.
+    pub(crate) fn release_cross_request_fusion(&self) {
+        let _ = self
+            .fusion
+            .loops
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1));
     }
 
     /// Whether cross-request batch fusion is currently enabled.
     pub fn cross_request_fusion(&self) -> bool {
-        self.fusion.enabled.load(Ordering::Relaxed)
+        self.fusion.loops.load(Ordering::Relaxed) > 0
     }
 
     /// FIFO executor with `n_threads` workers.
@@ -538,7 +552,7 @@ impl Executor {
                 });
             }
         }
-        let (done_tx, done_rx) = bounded(1);
+        let (done_tx, done_rx) = sync_channel(1);
         let run = Arc::new(RunContext {
             plan: Arc::clone(plan),
             params: Arc::clone(params),

@@ -110,8 +110,8 @@ pub use plan::specialize::{Provenance, SpecializeOptions};
 pub use plan::{ExecutionPlan, ModulePlan, SpecKey, SpecStats};
 pub use queue::SchedulerKind;
 pub use serve::{
-    ClassStats, LatencyPercentiles, Priority, ReplicaSnapshot, ServeClient, ServeConfig,
-    ServeError, ServeQueue, ServeStats, ServeTicket, WaveRecord, WaveSizing,
+    AdmissionMode, ClassStats, LatencyPercentiles, Priority, ReplicaSnapshot, Request, ServeClient,
+    ServeConfig, ServeError, ServeQueue, ServeStats, ServeTicket, WaveRecord, WaveSizing,
 };
 pub use session::Session;
 pub use stats::{ExecStats, StatsSnapshot};

@@ -127,20 +127,28 @@ impl Hasher for FxLiteHasher {
     }
 }
 
-struct Interner {
+/// A sharded hash-consing table of path nodes, keyed by `(parent pointer,
+/// call site)`. [`PathKey::child`] and [`PathKey::flush_interner`] use one
+/// process-global instance; a private instance interns and flushes the
+/// same way without sharing counts with anything else.
+pub(crate) struct Interner {
     shards: Vec<Mutex<HashMap<InternKey, PathKey, BuildHasherDefault<FxLiteHasher>>>>,
 }
 
 fn interner() -> &'static Interner {
     static INTERNER: OnceLock<Interner> = OnceLock::new();
-    INTERNER.get_or_init(|| Interner {
-        shards: (0..N_SHARDS)
-            .map(|_| Mutex::new(HashMap::default()))
-            .collect(),
-    })
+    INTERNER.get_or_init(Interner::new)
 }
 
 impl Interner {
+    pub(crate) fn new() -> Self {
+        Interner {
+            shards: (0..N_SHARDS)
+                .map(|_| Mutex::new(HashMap::default()))
+                .collect(),
+        }
+    }
+
     fn shard(
         &self,
         key: &InternKey,
@@ -150,6 +158,90 @@ impl Interner {
         let mixed = ((key.0 as u64 >> 4) ^ (key.1 as u64).wrapping_mul(0x9e3779b97f4a7c15))
             .wrapping_mul(0xff51afd7ed558ccd);
         &self.shards[(mixed >> 32) as usize & (N_SHARDS - 1)]
+    }
+
+    /// `parent` extended with `site`: the interned node when this table
+    /// already holds one, a fresh node (inserted) otherwise.
+    pub(crate) fn child(&self, parent: &PathKey, site: CallSiteId) -> PathKey {
+        let key: InternKey = (parent.addr(), site.0);
+        let mut map = self.shard(&key).lock();
+        if let Some(k) = map.get(&key) {
+            return k.clone();
+        }
+        let parent_hash = parent.hash_value();
+        // Mixing function: a 64-bit FNV-style combine keeps chains cheap and
+        // collision-resistant enough for a cache (equality still verifies).
+        let hash = parent_hash
+            .wrapping_mul(0x100000001b3)
+            .wrapping_add(0x9e3779b97f4a7c15 ^ (site.0 as u64).wrapping_mul(0xff51afd7ed558ccd));
+        let k = PathKey(Some(Arc::new(PathNode {
+            parent: parent.clone(),
+            site,
+            hash,
+            len: parent.len() + 1,
+        })));
+        map.insert(key, k.clone());
+        k
+    }
+
+    /// Path nodes held (locks every shard).
+    pub(crate) fn len(&self) -> usize {
+        self.shards.iter().map(|s| s.lock().len()).sum()
+    }
+
+    /// Evicts retired nodes and returns how many were reclaimed; see
+    /// [`PathKey::flush_interner`].
+    pub(crate) fn flush(&self) -> usize {
+        let mut worklist: Vec<Arc<PathNode>> = Vec::new();
+        // Phase 1: sweep each shard for nodes only the interner still
+        // holds (strong count 1: the map's own clone). An interned child
+        // pins its parent through `PathNode::parent`, so this set is
+        // exactly the retired leaves.
+        for shard in &self.shards {
+            let mut map = shard.lock();
+            let dead: Vec<InternKey> = map
+                .iter()
+                .filter(|(_, v)| v.0.as_ref().map_or(false, |a| Arc::strong_count(a) == 1))
+                .map(|(k, _)| *k)
+                .collect();
+            for k in dead {
+                if let Some(PathKey(Some(node))) = map.remove(&k) {
+                    worklist.push(node);
+                }
+            }
+        }
+        // Phase 2: tear down each retired node and cascade to its parent
+        // iteratively. Stealing the parent link before the node drops is
+        // what keeps deep chains off the call stack.
+        let mut flushed = 0usize;
+        while let Some(node) = worklist.pop() {
+            let Ok(mut inner) = Arc::try_unwrap(node) else {
+                // Lost a race to a concurrent re-reference; the clone we
+                // dropped leaves the node alive for its new holder.
+                continue;
+            };
+            flushed += 1;
+            let parent = std::mem::replace(&mut inner.parent, PathKey::root());
+            drop(inner);
+            if let Some(parent_arc) = parent.0 {
+                let key: InternKey = (parent_arc.parent.addr(), parent_arc.site.0);
+                let mut map = self.shard(&key).lock();
+                // Retire the parent only if the map still holds this very
+                // node and the only references left are the map's clone
+                // plus ours — i.e. we just dropped its last child.
+                let retired = matches!(
+                    map.get(&key),
+                    Some(PathKey(Some(e)))
+                        if Arc::ptr_eq(e, &parent_arc) && Arc::strong_count(&parent_arc) == 2
+                );
+                if retired {
+                    map.remove(&key);
+                    drop(map);
+                    worklist.push(parent_arc);
+                }
+            }
+        }
+        flushed
     }
 }
 
@@ -165,27 +257,13 @@ impl PathKey {
     /// the same interned node, so this is a table lookup in the steady
     /// state and allocates only the first time a path is ever seen.
     pub fn child(&self, site: CallSiteId) -> Self {
-        let parent_ptr = self.0.as_ref().map_or(0usize, |a| Arc::as_ptr(a) as usize);
-        let key: InternKey = (parent_ptr, site.0);
-        let shard = interner().shard(&key);
-        let mut map = shard.lock();
-        if let Some(k) = map.get(&key) {
-            return k.clone();
-        }
-        let parent_hash = self.hash_value();
-        // Mixing function: a 64-bit FNV-style combine keeps chains cheap and
-        // collision-resistant enough for a cache (equality still verifies).
-        let hash = parent_hash
-            .wrapping_mul(0x100000001b3)
-            .wrapping_add(0x9e3779b97f4a7c15 ^ (site.0 as u64).wrapping_mul(0xff51afd7ed558ccd));
-        let k = PathKey(Some(Arc::new(PathNode {
-            parent: self.clone(),
-            site,
-            hash,
-            len: self.len() + 1,
-        })));
-        map.insert(key, k.clone());
-        k
+        interner().child(self, site)
+    }
+
+    /// Address of the interned node (0 for the root): this path's part of
+    /// the interner key of its children.
+    fn addr(&self) -> usize {
+        self.0.as_ref().map_or(0, |a| Arc::as_ptr(a) as usize)
     }
 
     /// Number of call sites in the path (0 for the root).
@@ -218,7 +296,7 @@ impl PathKey {
     /// Total number of path nodes held by the process-wide interner
     /// (diagnostics; locks every shard).
     pub fn interner_len() -> usize {
-        interner().shards.iter().map(|s| s.lock().len()).sum()
+        interner().len()
     }
 
     /// Flushes retired nodes from the process-wide interner, returning the
@@ -240,63 +318,7 @@ impl PathKey {
     /// session shuts down — where varied-shape workloads would otherwise
     /// grow the table without bound.
     pub fn flush_interner() -> usize {
-        let it = interner();
-        let mut worklist: Vec<Arc<PathNode>> = Vec::new();
-        // Phase 1: sweep each shard for nodes only the interner still
-        // holds (strong count 1: the map's own clone). An interned child
-        // pins its parent through `PathNode::parent`, so this set is
-        // exactly the retired leaves.
-        for shard in &it.shards {
-            let mut map = shard.lock();
-            let dead: Vec<InternKey> = map
-                .iter()
-                .filter(|(_, v)| v.0.as_ref().map_or(false, |a| Arc::strong_count(a) == 1))
-                .map(|(k, _)| *k)
-                .collect();
-            for k in dead {
-                if let Some(PathKey(Some(node))) = map.remove(&k) {
-                    worklist.push(node);
-                }
-            }
-        }
-        // Phase 2: tear down each retired node and cascade to its parent
-        // iteratively. Stealing the parent link before the node drops is
-        // what keeps deep chains off the call stack.
-        let mut flushed = 0usize;
-        while let Some(node) = worklist.pop() {
-            let Ok(mut inner) = Arc::try_unwrap(node) else {
-                // Lost a race to a concurrent re-reference; the clone we
-                // dropped leaves the node alive for its new holder.
-                continue;
-            };
-            flushed += 1;
-            let parent = std::mem::replace(&mut inner.parent, PathKey::root());
-            drop(inner);
-            if let Some(parent_arc) = parent.0 {
-                let gp_ptr = parent_arc
-                    .parent
-                    .0
-                    .as_ref()
-                    .map_or(0usize, |a| Arc::as_ptr(a) as usize);
-                let key: InternKey = (gp_ptr, parent_arc.site.0);
-                let shard = it.shard(&key);
-                let mut map = shard.lock();
-                // Retire the parent only if the map still holds this very
-                // node and the only references left are the map's clone
-                // plus ours — i.e. we just dropped its last child.
-                let retired = matches!(
-                    map.get(&key),
-                    Some(PathKey(Some(e)))
-                        if Arc::ptr_eq(e, &parent_arc) && Arc::strong_count(&parent_arc) == 2
-                );
-                if retired {
-                    map.remove(&key);
-                    drop(map);
-                    worklist.push(parent_arc);
-                }
-            }
-        }
-        flushed
+        interner().flush()
     }
 
     /// Notes that a run (or wave of runs) has fully completed — a
@@ -429,17 +451,20 @@ mod tests {
 
     #[test]
     fn interning_makes_paths_pointer_equal() {
-        let a = PathKey::root().child(CallSiteId(41)).child(CallSiteId(42));
-        let b = PathKey::root().child(CallSiteId(41)).child(CallSiteId(42));
+        // A private table: no other test's interning or flushing can move
+        // its length between the two measurements below.
+        let it = Interner::new();
+        let path = || it.child(&it.child(&PathKey::root(), CallSiteId(41)), CallSiteId(42));
+        let a = path();
+        let b = path();
         assert!(a.ptr_eq(&b), "interned twins must share the node");
         // Clones stay pointer-equal, of course.
         assert!(a.clone().ptr_eq(&b));
-        // And re-creating the key does not grow the interner. (Compare
-        // with <=: a concurrent serve-shutdown flush elsewhere in this
-        // binary may shrink the table between the two measurements.)
-        let before = PathKey::interner_len();
-        let _c = PathKey::root().child(CallSiteId(41)).child(CallSiteId(42));
-        assert!(PathKey::interner_len() <= before);
+        // And re-creating the key does not grow the interner.
+        let before = it.len();
+        assert_eq!(before, 2);
+        let _c = path();
+        assert_eq!(it.len(), before);
     }
 
     #[test]

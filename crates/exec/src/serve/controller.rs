@@ -18,9 +18,7 @@
 
 use super::WaveSizing;
 
-/// EWMA wave-target controller. Owned and driven by the dispatcher
-/// thread; the rest of the world sees its decisions through the
-/// `wave_target` atomic in the stats ledger.
+/// EWMA wave-target controller, owned by the dispatcher core.
 pub(crate) struct WaveController {
     sizing: WaveSizing,
     /// Wave target when sizing is fixed, and the dynamic controller's
@@ -123,9 +121,9 @@ impl WaveController {
 /// concurrently: `depth × ewma ÷ workers`, saturating.
 ///
 /// This is the one prediction rule of the serving stack — predictive
-/// admission shedding ([`super::ServeClient::submit_slo_with`]), the
-/// scripted twin, and the cluster's join-shortest-queue routing all call
-/// it, so their decisions agree on what "too late to bother" means.
+/// admission shedding in the dispatcher core and the cluster's
+/// join-shortest-queue routing both call it, so their decisions agree on
+/// what "too late to bother" means.
 pub(crate) fn predicted_wait_ns(depth: usize, ewma_ns: u64, workers: usize) -> u64 {
     let w = workers.max(1) as u128;
     (depth as u128 * ewma_ns as u128 / w).min(u64::MAX as u128) as u64

@@ -434,36 +434,25 @@ fn replay_with(scenario: &Scenario, fused: Option<usize>) -> ReplayOutcome {
     for ev in &scenario.events {
         match *ev {
             Event::Advance(ns) => s.advance(ns.min(MAX_DUR_NS)),
-            Event::Submit(class, service) => {
+            Event::Submit(class, service) | Event::SubmitSlo(class, service, _) => {
                 let id = services.len() as u64;
                 services.push(service.min(MAX_DUR_NS));
-                if s.submit(class, id) {
-                    out.accepted.push(SubmitMeta {
-                        id,
-                        class,
-                        enqueued_ns: s.now_ns(),
-                        deadline_ns: None,
-                        seq,
-                    });
-                    seq += 1;
-                    let fill = s.queue_depth_class(class) as f64 / scenario.capacity.max(1) as f64;
-                    max_fill = max_fill.max(fill);
-                } else {
-                    out.rejected += 1;
-                    saw_reject = true;
-                }
-            }
-            Event::SubmitSlo(class, service, slo) => {
-                let id = services.len() as u64;
-                services.push(service.min(MAX_DUR_NS));
-                let slo = slo.min(MAX_DUR_NS);
-                match s.submit_deadline(class, id, slo) {
+                let slo = match *ev {
+                    Event::SubmitSlo(_, _, slo) => Some(slo.min(MAX_DUR_NS)),
+                    _ => None,
+                };
+                let admission = match slo {
+                    Some(slo) => s.submit_deadline(class, id, slo),
+                    None if s.submit(class, id) => ScriptedAdmission::Admitted,
+                    None => ScriptedAdmission::Rejected,
+                };
+                match admission {
                     ScriptedAdmission::Admitted => {
                         out.accepted.push(SubmitMeta {
                             id,
                             class,
                             enqueued_ns: s.now_ns(),
-                            deadline_ns: Some(s.now_ns().saturating_add(slo)),
+                            deadline_ns: slo.map(|slo| s.now_ns().saturating_add(slo)),
                             seq,
                         });
                         seq += 1;

@@ -17,15 +17,18 @@
 //!      └───────────── ServeTicket::wait ◀── results ◀───────────────┘
 //! ```
 //!
-//! * **Admission classes** — every request carries a [`Priority`]
-//!   (`Interactive` / `Batch` / `BestEffort`). Each class has its own
-//!   bounded lane with its own backpressure: [`ServeClient::try_submit_with`]
-//!   fails fast with [`ServeError::QueueFull`] when *its class* is full,
-//!   [`ServeClient::submit_with`] blocks, [`ServeClient::submit_deadline_with`]
-//!   bounds the wait. A saturated `Batch` lane never blocks admission of an
-//!   `Interactive` request. Plain `submit`/`try_submit` use the client's
+//! * **One submit** — [`ServeClient::submit`] takes a [`Request`]: feeds,
+//!   an optional class override, and an [`AdmissionMode`]. Plain
+//!   `Vec<Tensor>` feeds convert into a blocking request of the client's
 //!   default class ([`ServeClient::with_priority`] makes class-defaulted
 //!   clones to hand to each traffic source).
+//! * **Admission classes** — every request carries a [`Priority`]
+//!   (`Interactive` / `Batch` / `BestEffort`). Each class has its own
+//!   bounded lane with its own backpressure: when *its class* is full,
+//!   [`AdmissionMode::NoWait`] fails fast with [`ServeError::QueueFull`],
+//!   [`AdmissionMode::Block`] waits, and [`AdmissionMode::Within`] and
+//!   [`AdmissionMode::Slo`] bound the wait. A saturated `Batch` lane never
+//!   blocks admission of an `Interactive` request.
 //! * **Aged strict priority** — the dispatcher drains lanes strictly by
 //!   class, *except* that a request promotes itself one class per
 //!   [`ServeConfig::aging_step`] waited, so a hot `Interactive` stream can
@@ -36,9 +39,8 @@
 //!   Under [`WaveSizing::Dynamic`] (the default) an EWMA of observed
 //!   per-request service time picks the largest wave whose predicted
 //!   drain time fits the configured wave budget, clamped to
-//!   `[workers, workers × max_multiple]`; [`WaveSizing::Fixed`] recovers
-//!   the PR 4 `workers × batch_multiple` behavior exactly (see
-//!   `controller.rs`).
+//!   `[workers, workers × max_multiple]`; [`WaveSizing::Fixed`] keeps
+//!   every wave at `workers × batch_multiple` (see `controller.rs`).
 //! * **Latency accounting** — every request carries its
 //!   enqueue → dispatch → complete timestamps; [`ServeClient::stats`]
 //!   snapshots queue-wait, service, and total latency as p50/p95/p99
@@ -51,15 +53,18 @@
 //!
 //! The usual entry point is [`crate::Session::serve`] /
 //! [`crate::Session::serve_with`], which wire a session's plan, parameters,
-//! and executor into [`ServeQueue::start`]. The dispatcher's *decision*
-//! logic (class pick, aging, wave sizing) lives in pure, clock-free units —
-//! `classes::ClassQueues` and `controller::WaveController` — driven
-//! deterministically by [`test_support::ScriptedServe`] in tests.
+//! and executor into [`ServeQueue::start`]. Every admission and wave
+//! decision (open/closed, lane capacity, predictive shedding, class pick
+//! and aging, pop-time eviction, wave sizing, the mid-service cancel rule)
+//! is made by one clock-free state machine, `classes::Dispatcher`. The
+//! live loop holds it under its state mutex; [`test_support::ScriptedServe`]
+//! runs the same core on a virtual clock, so the tests, the corpus, and
+//! the fuzzer check the code that serves.
 //!
 //! # Example
 //!
 //! ```
-//! use rdg_exec::{Executor, Priority, Session};
+//! use rdg_exec::{AdmissionMode, Executor, Priority, Request, Session};
 //! use rdg_graph::ModuleBuilder;
 //! use rdg_tensor::{DType, Tensor};
 //!
@@ -73,10 +78,14 @@
 //! let batch = client.with_priority(Priority::Batch);
 //! let ticket = client.submit(vec![Tensor::scalar_f32(21.0)]).unwrap();
 //! let bg = batch.submit(vec![Tensor::scalar_f32(1.0)]).unwrap();
+//! let fast = client
+//!     .submit(Request::new(vec![Tensor::scalar_f32(2.0)]).mode(AdmissionMode::NoWait))
+//!     .unwrap();
 //! assert_eq!(ticket.wait().unwrap()[0].as_f32_scalar().unwrap(), 42.0);
 //! assert_eq!(bg.wait().unwrap()[0].as_f32_scalar().unwrap(), 2.0);
+//! assert_eq!(fast.wait().unwrap()[0].as_f32_scalar().unwrap(), 4.0);
 //! let stats = client.stats();
-//! assert_eq!(stats.completed, 2);
+//! assert_eq!(stats.completed, 3);
 //! assert_eq!(stats.classes[Priority::Batch.index()].completed, 1);
 //! client.shutdown();
 //! ```
@@ -87,17 +96,16 @@ pub mod fuzz;
 pub mod test_support;
 
 use crate::error::ExecError;
-use crate::executor::{Executor, RunHandle};
+use crate::executor::Executor;
 use crate::params::ParamStore;
 use crate::plan::ModulePlan;
 use crate::stats::{ExecStats, StatsSnapshot};
-use classes::{ClassQueues, Queued};
-use controller::WaveController;
-use crossbeam_channel::{bounded, Receiver, Sender};
-use parking_lot::{Condvar, Mutex, MutexGuard};
+use classes::{cancels_in_flight, Dispatcher, Refusal};
+use parking_lot::{Condvar, Mutex};
 use rdg_tensor::Tensor;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -157,8 +165,8 @@ impl fmt::Display for Priority {
 /// Wave-sizing policy for the dispatcher.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum WaveSizing {
-    /// PR 4 behavior, recoverable for back-compat and A/B runs: every
-    /// wave is exactly `workers ×` [`ServeConfig::batch_multiple`].
+    /// Every wave is exactly `workers ×` [`ServeConfig::batch_multiple`]
+    /// (for A/B runs and exact scheduling pins).
     Fixed,
     /// Adapt the wave target from observed service times: an EWMA of
     /// per-request service time picks the largest wave whose predicted
@@ -199,10 +207,10 @@ impl Default for WaveSizing {
 /// Tuning knobs for one serving loop.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
-    /// Bounded slots **per class lane**. A full lane rejects
-    /// `try_submit` and blocks `submit` for that class only — this is the
-    /// backpressure surface clients observe, and saturating one class
-    /// never blocks admission of another.
+    /// Bounded slots **per class lane**. A full lane rejects or holds
+    /// submits of that class only, as their [`AdmissionMode`] says — this
+    /// is the backpressure surface clients observe, and saturating one
+    /// class never blocks admission of another.
     pub capacity: usize,
     /// Wave size as a multiple of the executor's worker count: the exact
     /// wave under [`WaveSizing::Fixed`], the starting point under
@@ -216,7 +224,7 @@ pub struct ServeConfig {
     /// Queue wait that promotes a request one class (anti-starvation
     /// aging). Tune it toward the lower classes' latency tolerance;
     /// `Duration::ZERO` disables class separation entirely (global FIFO —
-    /// the class-blind PR 4 queue, useful as an A/B baseline).
+    /// a class-blind queue, useful as an A/B baseline).
     pub aging_step: Duration,
     /// Record every dispatch wave (controller target + admission sequence
     /// numbers in pop order) for retrieval via
@@ -225,7 +233,7 @@ pub struct ServeConfig {
     /// decisions against the `ScriptedServe` twin, wave for wave.
     pub record_dispatch: bool,
     /// Least-urgent end of the classes eligible for **predictive
-    /// admission shedding**: an SLO-carrying submit into a class at least
+    /// admission shedding**: an [`AdmissionMode::Slo`] submit into a class at least
     /// this far down the urgency order is rejected up front with
     /// [`ServeError::Shed`] when the predicted queue wait (lane depth ×
     /// EWMA service estimate ÷ workers) already exceeds its deadline —
@@ -267,10 +275,11 @@ impl Default for ServeConfig {
 /// Errors surfaced by the serving client.
 #[derive(Debug, Clone)]
 pub enum ServeError {
-    /// `try_submit` on a full class lane: the caller should back off or
-    /// retry with the blocking `submit`.
+    /// An [`AdmissionMode::NoWait`] submit hit a full class lane: the
+    /// caller should back off or retry with a waiting mode.
     QueueFull,
-    /// `submit_deadline` waited out its deadline on a full class lane.
+    /// An [`AdmissionMode::Within`] or [`AdmissionMode::Slo`] submit
+    /// waited out its limit on a full class lane.
     DeadlineExceeded,
     /// The serving loop no longer accepts requests (explicit shutdown or
     /// every client handle was dropped).
@@ -397,11 +406,6 @@ impl LatencyTrack {
         }
     }
 
-    #[cfg(test)]
-    fn record(&self, d: Duration) {
-        self.record_ns(d.as_nanos().min(u64::MAX as u128) as u64);
-    }
-
     fn percentiles(&self) -> LatencyPercentiles {
         let r = self.inner.lock();
         if r.samples.is_empty() {
@@ -423,10 +427,11 @@ impl LatencyTrack {
 pub struct ClassStats {
     /// Requests of this class accepted into the lane.
     pub submitted: u64,
-    /// `try_submit` calls of this class bounced off a full lane.
+    /// [`AdmissionMode::NoWait`] submits of this class bounced off a full
+    /// lane.
     pub rejected: u64,
-    /// `submit_deadline` calls of this class that waited out their
-    /// deadline.
+    /// Submits of this class that waited out their admission limit on a
+    /// full lane.
     pub expired: u64,
     /// Requests of this class that completed with a successful run
     /// delivered to a live ticket.
@@ -468,9 +473,10 @@ pub struct ClassStats {
 pub struct ServeStats {
     /// Requests accepted into the queue (all classes).
     pub submitted: u64,
-    /// `try_submit` calls bounced off a full lane (backpressure events).
+    /// [`AdmissionMode::NoWait`] submits bounced off a full lane
+    /// (backpressure events).
     pub rejected: u64,
-    /// `submit_deadline` calls that waited out their deadline.
+    /// Submits that waited out their admission limit on a full lane.
     pub expired: u64,
     /// Requests that completed with a successful run delivered to a live
     /// ticket.
@@ -610,17 +616,92 @@ pub struct WaveRecord {
     pub shed_seqs: Vec<u64>,
 }
 
-/// One queued request: feeds in, result channel out. Class, enqueue
-/// timestamp, and deadline ride in the [`Queued`] wrapper the lane keeps.
-struct Request {
+/// How [`ServeClient::submit`] treats a request whose class lane is full.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum AdmissionMode {
+    /// Fail fast with [`ServeError::QueueFull`] (counted `rejected`).
+    NoWait,
+    /// Wait for a lane slot however long that takes (backpressure).
+    #[default]
+    Block,
+    /// Wait at most this long for a lane slot, then give up with
+    /// [`ServeError::DeadlineExceeded`] (counted `expired`).
+    Within(Duration),
+    /// End-to-end SLO: the request must *complete* within this long of
+    /// the submit call, or it is shed. The SLO is enforced at three
+    /// lifecycle points:
+    ///
+    /// 1. **Predictive admission**: if the class is at or past
+    ///    [`ServeConfig::predictive_shed_from`] and the dispatcher has a
+    ///    service EWMA, a request whose predicted queue wait
+    ///    (`lane depth × EWMA ÷ workers`) already overruns the deadline is
+    ///    shed at once with [`ServeError::Shed`]. It never queues, never
+    ///    counts as `submitted`, and ticks `shed_predicted`.
+    /// 2. **Pop-time eviction**: an admitted request whose deadline has
+    ///    passed when the dispatcher pops it is discarded (ticket resolves
+    ///    to [`ServeError::Shed`], counted `shed`).
+    /// 3. **Mid-service cancellation**: a request whose deadline passes
+    ///    while its run is in flight is cancelled and counted
+    ///    `shed_inflight`.
+    ///
+    /// Waiting for a lane slot is bounded by the same deadline, as under
+    /// [`AdmissionMode::Within`].
+    Slo(Duration),
+}
+
+/// One serving request: feeds, an optional class override (the client's
+/// default class otherwise), and an [`AdmissionMode`].
+///
+/// `Vec<Tensor>` converts into a blocking request of the client's default
+/// class, so `client.submit(feeds)` is the plain call.
+#[derive(Clone, Debug, Default)]
+pub struct Request {
     feeds: Vec<Tensor>,
-    tx: Sender<Result<Vec<Tensor>, ServeError>>,
+    class: Option<Priority>,
+    mode: AdmissionMode,
+}
+
+impl Request {
+    /// A blocking request of the submitting client's default class.
+    pub fn new(feeds: Vec<Tensor>) -> Self {
+        Request {
+            feeds,
+            ..Request::default()
+        }
+    }
+
+    /// Submits into `class` instead of the client's default class.
+    pub fn class(mut self, class: Priority) -> Self {
+        self.class = Some(class);
+        self
+    }
+
+    /// Sets how admission treats a full lane (and the SLO, if any).
+    pub fn mode(mut self, mode: AdmissionMode) -> Self {
+        self.mode = mode;
+        self
+    }
+}
+
+impl From<Vec<Tensor>> for Request {
+    fn from(feeds: Vec<Tensor>) -> Self {
+        Request::new(feeds)
+    }
+}
+
+type Reply = Result<Vec<Tensor>, ServeError>;
+
+/// One queued request: feeds in, result channel out. Class, enqueue
+/// timestamp, and deadline ride in the `Queued` wrapper the lane keeps.
+struct Job {
+    feeds: Vec<Tensor>,
+    tx: SyncSender<Reply>,
 }
 
 /// A cheap point-in-time load snapshot of one serving loop, for
 /// join-shortest-queue replica routing (`rdg_cluster::serve_real`): queue
 /// depth and in-flight count plus the service EWMA to turn depth into a
-/// predicted wait. Reading one costs a short lock plus two atomic loads —
+/// predicted wait. Reading one costs a short lock plus an atomic load —
 /// cheap enough to take per routing decision. A snapshot is immediately
 /// stale, of course; the router treats it as a hint, never a guarantee.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -652,15 +733,6 @@ impl ReplicaSnapshot {
         };
         controller::predicted_wait_ns(self.queue_depth + self.in_flight, ewma, self.workers)
     }
-}
-
-struct QueueState {
-    queue: ClassQueues<Request>,
-    /// `false` once shutdown began: submits are rejected, the dispatcher
-    /// drains what was already accepted and exits.
-    open: bool,
-    /// Live `ServeClient` handles; the last drop initiates shutdown.
-    clients: usize,
 }
 
 /// Atomic counters + latency tracks for one class.
@@ -702,14 +774,7 @@ struct StatsInner {
     /// Per-class ledgers; the aggregate counters in a snapshot are their
     /// sums (still monotone: a sum of monotone counters is monotone).
     classes: [ClassLedger; Priority::COUNT],
-    batches: AtomicU64,
     in_flight: AtomicUsize,
-    /// The controller's current wave target, published after every wave.
-    wave_target: AtomicUsize,
-    /// The controller's service EWMA in nanoseconds (`0` = none yet),
-    /// published after every wave so the submit path can predict queue
-    /// waits without talking to the dispatcher thread.
-    ewma_ns: AtomicU64,
     /// Aggregate latency windows (kept separately from the per-class
     /// windows — percentile windows cannot be merged after the fact).
     wait: LatencyTrack,
@@ -724,11 +789,9 @@ struct StatsInner {
 /// the dispatcher and hands back the first [`ServeClient`]; the loop lives
 /// as long as any client (or undelivered ticket) needs it.
 pub struct ServeQueue {
-    capacity: usize,
-    /// The executor's worker count — the denominator of every predicted-
-    /// wait computation (admission shedding, replica snapshots).
-    workers: usize,
-    state: Mutex<QueueState>,
+    /// The serving core: every admission and wave decision is made here,
+    /// under this lock.
+    state: Mutex<Dispatcher<Job>>,
     /// Signals the dispatcher: work arrived, or shutdown began.
     not_empty: Condvar,
     /// Signals blocked submitters: a slot freed, or shutdown began.
@@ -740,7 +803,7 @@ pub struct ServeQueue {
     dispatcher: Mutex<Option<JoinHandle<()>>>,
     /// Zero point of the loop's nanosecond clock: every enqueue/dispatch/
     /// complete timestamp is `epoch.elapsed()` in nanoseconds — the same
-    /// integer timeline the pure scheduling units run on under test.
+    /// integer timeline the scripted twin runs the core on.
     epoch: Instant,
     /// The executor's lifetime counters, for the fusion-rate rows of
     /// [`ServeStats`] (completed runs fold their counters in there).
@@ -764,24 +827,16 @@ impl ServeQueue {
         params: Arc<ParamStore>,
         config: ServeConfig,
     ) -> ServeClient {
-        let capacity = config.capacity.max(1);
         let window = config.latency_window;
-        let aging_ns = config.aging_step.as_nanos().min(u64::MAX as u128) as u64;
-        let initial_target =
-            WaveController::new(config.sizing, config.batch_multiple, exec.n_threads()).target();
-        // Serving turns cross-request fusion on (bare runs stay scalar);
-        // the dispatcher switches it back off when the loop shuts down.
-        exec.set_cross_request_fusion(config.cross_request_batching, config.max_fuse_group);
+        // Serving turns cross-request fusion on (bare runs stay scalar)
+        // until the dispatcher exits.
+        if config.cross_request_batching {
+            exec.retain_cross_request_fusion(config.max_fuse_group);
+        }
         let exec_stats = Arc::clone(exec.stats());
         let fusion_base = exec_stats.snapshot();
         let shared = Arc::new(ServeQueue {
-            capacity,
-            workers: exec.n_threads().max(1),
-            state: Mutex::new(QueueState {
-                queue: ClassQueues::new(aging_ns),
-                open: true,
-                clients: 1,
-            }),
+            state: Mutex::new(Dispatcher::new(&config, exec.n_threads())),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
             stats: StatsInner {
@@ -790,10 +845,7 @@ impl ServeQueue {
                     ClassLedger::new(window),
                     ClassLedger::new(window),
                 ],
-                batches: AtomicU64::new(0),
                 in_flight: AtomicUsize::new(0),
-                wave_target: AtomicUsize::new(initial_target),
-                ewma_ns: AtomicU64::new(0),
                 wait: LatencyTrack::new(window),
                 service: LatencyTrack::new(window),
                 total: LatencyTrack::new(window),
@@ -824,57 +876,46 @@ impl ServeQueue {
     }
 }
 
-/// The dispatcher: drains the class lanes in controller-sized waves via
-/// the aged-priority pop, launches each wave as concurrent root frames,
-/// joins it, and answers the tickets. Runs until shutdown *and* empty
-/// lanes — every accepted request is answered before the thread exits
-/// (with its result, or with [`ServeError::Shed`] when its SLO ran out
-/// first).
+/// The dispatcher: asks the core for controller-sized waves, launches
+/// each wave as concurrent root frames, joins it, and answers the
+/// tickets. Runs until shutdown *and* empty lanes — every accepted
+/// request is answered before the thread exits (with its result, or with
+/// [`ServeError::Shed`] when its SLO ran out first).
 ///
-/// SLO enforcement happens at two of the three lifecycle points here
-/// (the third, predictive admission shedding, lives in the submit path):
+/// Two of the three SLO shed points act here (the third, predictive
+/// admission shedding, is part of admission):
 ///
-/// * **pop-time eviction** — a popped request whose deadline has already
-///   passed is discarded instead of dispatched; its ticket resolves to
-///   [`ServeError::Shed`] and the class's `shed` counter ticks. Evicted
-///   requests never consume wave slots, so one expired burst cannot
-///   starve the wave of live work.
+/// * **pop-time eviction** — the core evicts a popped request whose
+///   deadline has already passed instead of dispatching it; its ticket
+///   resolves to [`ServeError::Shed`] and the class's `shed` counter
+///   ticks. Evicted requests never consume wave slots, so one expired
+///   burst cannot starve the wave of live work.
 /// * **mid-service cancellation** — when the join loop reaches a handle
-///   whose deadline has passed and whose run has not finished, it cancels
-///   through [`RunHandle::cancel`] (freeing the worker) and accounts the
-///   request as `shed_inflight`. A run that finished before the check
-///   keeps its result — an answer that exists is delivered, late or not.
+///   the core's cancel predicate selects (deadline passed, run not
+///   finished), it cancels through [`crate::RunHandle::cancel`] (freeing the
+///   worker) and accounts the request as `shed_inflight`. A run that
+///   finished before the check keeps its result — an answer that exists
+///   is delivered, late or not.
 fn dispatcher_loop(
     shared: &Arc<ServeQueue>,
     exec: &Arc<Executor>,
     plan: &Arc<ModulePlan>,
     params: &Arc<ParamStore>,
 ) {
-    let mut controller = WaveController::new(
-        shared.config.sizing,
-        shared.config.batch_multiple,
-        exec.n_threads(),
-    );
-    let mut wave: Vec<Queued<Request>> = Vec::with_capacity(controller.target());
-    let mut evicted: Vec<(Priority, u64, Sender<Result<Vec<Tensor>, ServeError>>)> = Vec::new();
-    // Waves dispatched since the loop started; drives the periodic
-    // path-interner epoch flush (varied-shape request streams would
-    // otherwise grow the interner until shutdown).
-    let mut waves_dispatched: u64 = 0;
-    // Flush the path interner every this many waves.
+    // Flush the path interner every this many waves: varied-shape request
+    // streams would otherwise grow it until shutdown.
     const FLUSH_EVERY_WAVES: u64 = 64;
     loop {
-        {
+        let (wave, popped_ns, flush_due) = {
             let mut st = shared.state.lock();
             loop {
-                if !st.queue.is_empty() {
-                    break;
+                let now = shared.now_ns();
+                if let Some(wave) = st.next_wave(now) {
+                    break (wave, now, st.waves().is_multiple_of(FLUSH_EVERY_WAVES));
                 }
-                if !st.open {
+                if !st.is_open() {
                     if shared.config.cross_request_batching {
-                        // The loop is over: return the executor to its
-                        // scalar default so later bare runs don't fuse.
-                        exec.set_cross_request_fusion(false, shared.config.max_fuse_group);
+                        exec.release_cross_request_fusion();
                     }
                     // Every request this session interned call-site paths;
                     // varied-shape workloads never revisit them. Reclaim
@@ -885,94 +926,67 @@ fn dispatcher_loop(
                 }
                 shared.not_empty.wait(&mut st);
             }
-            let target = controller.target();
-            let now = shared.now_ns();
-            let mut shed_seqs = Vec::new();
-            while wave.len() < target {
-                match st.queue.pop_next(now) {
-                    Some(q) => {
-                        if q.deadline_ns.map_or(false, |d| now >= d) {
-                            shed_seqs.push(q.seq);
-                            evicted.push((q.class, now.saturating_sub(q.enqueued_ns), q.item.tx));
-                        } else {
-                            wave.push(q);
-                        }
-                    }
-                    None => break,
-                }
-            }
-            if shared.config.record_dispatch {
-                shared.dispatch_log.lock().push(WaveRecord {
-                    target,
-                    seqs: wave.iter().map(|q| q.seq).collect(),
-                    shed_seqs,
-                });
-            }
-        }
+        };
         // Slots freed: wake every blocked submitter (they re-check space).
         shared.not_full.notify_all();
-        // Resolve pop-time evictions outside the lock. Eviction is a shed,
-        // full stop — a dropped ticket on top of it stays a shed (the
-        // `abandoned` counter splits only the completed/failed path).
-        for (class, waited_ns, tx) in evicted.drain(..) {
-            shared.stats.classes[class.index()]
+        if shared.config.record_dispatch {
+            shared.dispatch_log.lock().push(WaveRecord {
+                target: wave.target,
+                seqs: wave.dispatched.iter().map(|q| q.seq).collect(),
+                shed_seqs: wave.evicted.iter().map(|q| q.seq).collect(),
+            });
+        }
+        // Resolve pop-time evictions. Eviction is a shed, full stop — a
+        // dropped ticket on top of it stays a shed (the `abandoned`
+        // counter splits only the completed/failed path).
+        for q in wave.evicted {
+            shared.stats.classes[q.class.index()]
                 .shed
                 .fetch_add(1, Ordering::Relaxed);
-            let _ = tx.send(Err(ServeError::Shed {
-                waited: Duration::from_nanos(waited_ns),
+            let _ = q.item.tx.send(Err(ServeError::Shed {
+                waited: Duration::from_nanos(popped_ns.saturating_sub(q.enqueued_ns)),
             }));
         }
-        if wave.is_empty() {
+        if wave.dispatched.is_empty() {
             // Everything popped this round was expired: nothing to run.
             continue;
         }
         let dispatched_ns = shared.now_ns();
-        shared.stats.batches.fetch_add(1, Ordering::Relaxed);
-        shared.stats.in_flight.store(wave.len(), Ordering::Relaxed);
+        shared
+            .stats
+            .in_flight
+            .store(wave.dispatched.len(), Ordering::Relaxed);
         // Submit the whole wave before joining any of it: the wave's root
         // frames execute concurrently, and in-flight work is bounded by
         // the wave size — that is the admission-control contract.
-        type Waiting = (
-            Priority,
-            u64,
-            Option<u64>,
-            Sender<Result<Vec<Tensor>, ServeError>>,
-            Option<crate::SpecKey>,
-            Result<RunHandle, ExecError>,
-        );
-        let in_flight: Vec<Waiting> = wave
-            .drain(..)
-            .map(|q| {
-                let Queued {
-                    item: Request { feeds, tx },
-                    class,
-                    enqueued_ns,
-                    deadline_ns,
-                    ..
-                } = q;
-                let wait_ns = dispatched_ns.saturating_sub(enqueued_ns);
+        let in_flight: Vec<_> = wave
+            .dispatched
+            .into_iter()
+            .map(|mut q| {
+                let feeds = std::mem::take(&mut q.item.feeds);
+                let wait_ns = dispatched_ns.saturating_sub(q.enqueued_ns);
                 shared.stats.wait.record_ns(wait_ns);
-                shared.stats.classes[class.index()].wait.record_ns(wait_ns);
+                shared.stats.classes[q.class.index()]
+                    .wait
+                    .record_ns(wait_ns);
                 // Per-request plan resolution: a hot feed signature runs
                 // its promoted flat plan. Requests resolving to the same
                 // promoted plan share its `Arc`, so cross-request fusion
                 // (`GroupKey` is keyed by plan pointer) still groups them.
                 let (req_plan, spec_key) = plan.resolve_for_feeds(&feeds);
                 let submitted = exec.submit(&req_plan, params, feeds, None, None);
-                (class, enqueued_ns, deadline_ns, tx, spec_key, submitted)
+                (q, spec_key, submitted)
             })
             .collect();
         let wave_len = in_flight.len();
         let mut last_done_ns = dispatched_ns;
-        for (class, enqueued_ns, deadline_ns, tx, spec_key, submitted) in in_flight {
+        for (q, spec_key, submitted) in in_flight {
             let mut cancelled_for_slo = false;
             let result = match submitted {
                 Ok(handle) => {
-                    if let Some(d) = deadline_ns {
-                        if shared.now_ns() >= d && !handle.is_finished() {
-                            handle.cancel();
-                            cancelled_for_slo = true;
-                        }
+                    if cancels_in_flight(q.deadline_ns, shared.now_ns(), || handle.is_finished()) {
+                        handle.cancel();
+                        cancelled_for_slo = true;
                     }
                     let run_stats = Arc::clone(handle.stats());
                     let r = handle.wait();
@@ -987,20 +1001,20 @@ fn dispatcher_loop(
             };
             let done_ns = shared.now_ns();
             last_done_ns = done_ns;
-            let ledger = &shared.stats.classes[class.index()];
+            let ledger = &shared.stats.classes[q.class.index()];
             shared.stats.in_flight.fetch_sub(1, Ordering::Relaxed);
             // If the cancel raced the run finishing, the run kept its
             // result (`RunHandle::cancel` never discards a finished run)
             // and we fall through to normal delivery below.
             if cancelled_for_slo && matches!(result, Err(ExecError::Cancelled)) {
                 ledger.shed_inflight.fetch_add(1, Ordering::Relaxed);
-                let _ = tx.send(Err(ServeError::Shed {
-                    waited: Duration::from_nanos(done_ns.saturating_sub(enqueued_ns)),
+                let _ = q.item.tx.send(Err(ServeError::Shed {
+                    waited: Duration::from_nanos(done_ns.saturating_sub(q.enqueued_ns)),
                 }));
                 continue;
             }
             let service_ns = done_ns.saturating_sub(dispatched_ns);
-            let total_ns = done_ns.saturating_sub(enqueued_ns);
+            let total_ns = done_ns.saturating_sub(q.enqueued_ns);
             shared.stats.service.record_ns(service_ns);
             shared.stats.total.record_ns(total_ns);
             ledger.service.record_ns(service_ns);
@@ -1016,7 +1030,7 @@ fn dispatcher_loop(
                 &ledger.failed
             };
             counter.fetch_add(1, Ordering::Relaxed);
-            if tx.send(result.map_err(ServeError::Exec)).is_err() {
+            if q.item.tx.send(result.map_err(ServeError::Exec)).is_err() {
                 // The client dropped its ticket before delivery. The work
                 // still ran — count it as abandoned, not completed, so
                 // goodput stays honest.
@@ -1028,28 +1042,17 @@ fn dispatcher_loop(
         // latencies: joining in submission order means a later request's
         // individual dispatch→complete span includes earlier joins, which
         // would double-count intra-wave queueing and bias the EWMA high.
-        controller.observe_wave(wave_len, last_done_ns.saturating_sub(dispatched_ns));
+        shared
+            .state
+            .lock()
+            .observe_wave(wave_len, last_done_ns.saturating_sub(dispatched_ns));
         // Epoch flush: retire interned path chains whose runs have all
         // completed. Without this, only shutdown reclaims them, and a
         // long-lived serve loop with varied-shape traffic grows the
         // process-global interner without bound.
-        waves_dispatched += 1;
-        if waves_dispatched % FLUSH_EVERY_WAVES == 0 {
+        if flush_due {
             crate::path::PathKey::flush_interner();
         }
-        // Publish the adapted target and EWMA so stats snapshots (and the
-        // predictive-shedding submit path) see the decision the next wave
-        // will use.
-        shared
-            .stats
-            .wave_target
-            .store(controller.target(), Ordering::Relaxed);
-        shared.stats.ewma_ns.store(
-            // Floor at 1ns: a sub-nanosecond EWMA must not truncate to 0,
-            // which downstream readers treat as the "no estimate" sentinel.
-            controller.ewma_ns().map_or(0, |e| e.max(1.0) as u64),
-            Ordering::Relaxed,
-        );
     }
 }
 
@@ -1058,12 +1061,11 @@ fn dispatcher_loop(
 /// Clones share one queue, one dispatcher, and one stats ledger — hand a
 /// clone to every client thread. Each clone carries a *default class*
 /// ([`Priority::Interactive`] unless changed via
-/// [`ServeClient::with_priority`]) used by the plain
-/// `submit`/`try_submit`/`submit_deadline`/`call`; the `_with` variants
-/// take the class per call. The loop shuts down when the last clone drops
-/// or [`ServeClient::shutdown`] is called; after that every submit returns
-/// [`ServeError::Shutdown`], while already-accepted requests still
-/// complete and their tickets still deliver.
+/// [`ServeClient::with_priority`]) that [`ServeClient::submit`] uses for
+/// requests without a class override. The loop shuts down when the last
+/// clone drops or [`ServeClient::shutdown`] is called; after that every
+/// submit returns [`ServeError::Shutdown`], while already-accepted
+/// requests still complete and their tickets still deliver.
 pub struct ServeClient {
     shared: Arc<ServeQueue>,
     class: Priority,
@@ -1071,7 +1073,7 @@ pub struct ServeClient {
 
 impl Clone for ServeClient {
     fn clone(&self) -> Self {
-        self.shared.state.lock().clients += 1;
+        self.shared.state.lock().add_client();
         ServeClient {
             shared: Arc::clone(&self.shared),
             class: self.class,
@@ -1081,15 +1083,9 @@ impl Clone for ServeClient {
 
 impl Drop for ServeClient {
     fn drop(&mut self) {
-        let last = {
-            let mut st = self.shared.state.lock();
-            st.clients -= 1;
-            st.clients == 0
-        };
-        if last {
-            // Last client gone: stop admission and let the dispatcher
+        if self.shared.state.lock().drop_client() {
+            // Last client gone: admission is closed; let the dispatcher
             // drain accepted requests, detached (drop must not block).
-            self.shared.state.lock().open = false;
             self.shared.not_empty.notify_all();
             self.shared.not_full.notify_all();
         }
@@ -1097,234 +1093,107 @@ impl Drop for ServeClient {
 }
 
 impl ServeClient {
-    /// A clone whose plain `submit`/`try_submit`/`call` use `class` —
-    /// hand one to each traffic source so call sites stay class-free.
+    /// A clone whose requests default to `class` — hand one to each
+    /// traffic source so call sites stay class-free.
     pub fn with_priority(&self, class: Priority) -> ServeClient {
         let mut c = self.clone();
         c.class = class;
         c
     }
 
-    /// The class this client's plain submit calls use.
+    /// The class this client's requests use unless they override it.
     pub fn priority(&self) -> Priority {
         self.class
     }
 
-    /// Non-blocking admission into the client's default class.
-    pub fn try_submit(&self, feeds: Vec<Tensor>) -> Result<ServeTicket, ServeError> {
-        self.try_submit_with(self.class, feeds)
-    }
-
-    /// Non-blocking admission into `class`: rejects immediately with
-    /// [`ServeError::QueueFull`] when that class's lane has no free slot.
-    pub fn try_submit_with(
-        &self,
-        class: Priority,
-        feeds: Vec<Tensor>,
-    ) -> Result<ServeTicket, ServeError> {
-        let st = self.shared.state.lock();
-        if !st.open {
-            return Err(ServeError::Shutdown);
-        }
-        if st.queue.len_class(class) >= self.shared.capacity {
-            drop(st);
-            self.shared.stats.classes[class.index()]
-                .rejected
-                .fetch_add(1, Ordering::Relaxed);
-            return Err(ServeError::QueueFull);
-        }
-        Ok(self.enqueue(st, class, feeds, None))
-    }
-
-    /// Blocking admission into the client's default class.
-    pub fn submit(&self, feeds: Vec<Tensor>) -> Result<ServeTicket, ServeError> {
-        self.submit_with(self.class, feeds)
-    }
-
-    /// Blocking admission into `class`: waits for a lane slot
-    /// (backpressure), however long that takes. Returns
-    /// [`ServeError::Shutdown`] if the loop stops accepting while this
-    /// call is blocked.
-    pub fn submit_with(
-        &self,
-        class: Priority,
-        feeds: Vec<Tensor>,
-    ) -> Result<ServeTicket, ServeError> {
-        let mut st = self.shared.state.lock();
-        loop {
-            if !st.open {
-                return Err(ServeError::Shutdown);
-            }
-            if st.queue.len_class(class) < self.shared.capacity {
-                return Ok(self.enqueue(st, class, feeds, None));
-            }
-            self.shared.not_full.wait(&mut st);
-        }
-    }
-
-    /// Blocking admission into the client's default class, bounded by
-    /// `deadline`.
-    pub fn submit_deadline(
-        &self,
-        feeds: Vec<Tensor>,
-        deadline: Duration,
-    ) -> Result<ServeTicket, ServeError> {
-        self.submit_deadline_with(self.class, feeds, deadline)
-    }
-
-    /// Blocking admission into `class` with a deadline: waits at most
-    /// `deadline` for a lane slot, then gives up with
-    /// [`ServeError::DeadlineExceeded`].
-    pub fn submit_deadline_with(
-        &self,
-        class: Priority,
-        feeds: Vec<Tensor>,
-        deadline: Duration,
-    ) -> Result<ServeTicket, ServeError> {
-        let t0 = Instant::now();
-        let mut st = self.shared.state.lock();
-        loop {
-            if !st.open {
-                return Err(ServeError::Shutdown);
-            }
-            if st.queue.len_class(class) < self.shared.capacity {
-                return Ok(self.enqueue(st, class, feeds, None));
-            }
-            let elapsed = t0.elapsed();
-            if elapsed >= deadline {
-                drop(st);
-                self.shared.stats.classes[class.index()]
-                    .expired
-                    .fetch_add(1, Ordering::Relaxed);
-                return Err(ServeError::DeadlineExceeded);
-            }
-            let _ = self.shared.not_full.wait_for(&mut st, deadline - elapsed);
-        }
-    }
-
-    /// Blocking admission into the client's default class with an
-    /// end-to-end SLO. See [`ServeClient::submit_slo_with`].
-    pub fn submit_slo(&self, feeds: Vec<Tensor>, slo: Duration) -> Result<ServeTicket, ServeError> {
-        self.submit_slo_with(self.class, feeds, slo)
-    }
-
-    /// Blocking admission into `class` with an end-to-end SLO: the
-    /// request must *complete* within `slo` of this call, or it is shed.
+    /// Admits one request and returns its ticket.
     ///
-    /// The SLO is enforced at three lifecycle points:
-    ///
-    /// 1. **Predictive admission** (here): if the class is at or past
-    ///    [`ServeConfig::predictive_shed_from`] and the dispatcher has a
-    ///    service EWMA, a request whose predicted queue wait
-    ///    (`lane depth × EWMA ÷ workers`) already overruns the deadline is
-    ///    shed immediately with [`ServeError::Shed`] — it never queues,
-    ///    never counts as `submitted`, and ticks `shed_predicted`.
-    /// 2. **Pop-time eviction**: an admitted request whose deadline has
-    ///    passed when the dispatcher pops it is discarded (ticket resolves
-    ///    to [`ServeError::Shed`], counted `shed`).
-    /// 3. **Mid-service cancellation**: a request whose deadline passes
-    ///    while its run is in flight is cancelled and counted
-    ///    `shed_inflight`.
-    ///
-    /// Submit-side blocking is bounded by the same deadline: if no lane
-    /// slot frees before the SLO is already blown, the call gives up with
-    /// [`ServeError::DeadlineExceeded`] (counted `expired`), matching
-    /// [`ServeClient::submit_deadline_with`].
-    pub fn submit_slo_with(
-        &self,
-        class: Priority,
-        feeds: Vec<Tensor>,
-        slo: Duration,
-    ) -> Result<ServeTicket, ServeError> {
-        let t0 = Instant::now();
-        let slo_ns = u64::try_from(slo.as_nanos()).unwrap_or(u64::MAX);
-        let deadline_abs = self.shared.now_ns().saturating_add(slo_ns);
-        let mut st = self.shared.state.lock();
+    /// Pass `feeds` for a blocking request of the client's default class,
+    /// or a [`Request`] to pick the class and the [`AdmissionMode`]. Every
+    /// mode returns [`ServeError::Shutdown`] once the loop stops accepting,
+    /// including while the call is waiting for a slot.
+    pub fn submit(&self, request: impl Into<Request>) -> Result<ServeTicket, ServeError> {
+        let Request { feeds, class, mode } = request.into();
+        let class = class.unwrap_or(self.class);
+        let shared = &self.shared;
+        let ledger = &shared.stats.classes[class.index()];
+        let start_ns = shared.now_ns();
+        let limit_ns = |d: Duration| start_ns.saturating_add(duration_ns(d));
+        let deadline_ns = match mode {
+            AdmissionMode::Slo(slo) => Some(limit_ns(slo)),
+            _ => None,
+        };
+        let (tx, rx) = sync_channel(1);
+        let mut job = Job { feeds, tx };
+        let mut st = shared.state.lock();
         loop {
-            if !st.open {
-                return Err(ServeError::Shutdown);
-            }
-            if st.queue.len_class(class) < self.shared.capacity {
-                if let Some(from) = self.shared.config.predictive_shed_from {
-                    if class.index() >= from.index() {
-                        let ewma = self.shared.stats.ewma_ns.load(Ordering::Relaxed);
-                        if ewma > 0 {
-                            let predicted = controller::predicted_wait_ns(
-                                st.queue.len_class(class),
-                                ewma,
-                                self.shared.workers,
-                            );
-                            if self.shared.now_ns().saturating_add(predicted) > deadline_abs {
-                                drop(st);
-                                self.shared.stats.classes[class.index()]
-                                    .shed_predicted
-                                    .fetch_add(1, Ordering::Relaxed);
-                                return Err(ServeError::Shed {
-                                    waited: t0.elapsed(),
-                                });
-                            }
-                        }
-                    }
+            let now = shared.now_ns();
+            let refusal = match st.admit(class, job, now, deadline_ns) {
+                Ok(()) => {
+                    // Count before releasing the lock: the dispatcher
+                    // cannot pop (and so cannot complete) this request
+                    // until the lock drops, which keeps `submitted ≥
+                    // completed + failed` in every stats snapshot.
+                    ledger.submitted.fetch_add(1, Ordering::Relaxed);
+                    drop(st);
+                    shared.not_empty.notify_one();
+                    return Ok(ServeTicket { rx });
                 }
-                return Ok(self.enqueue(st, class, feeds, Some(deadline_abs)));
+                Err((refusal, back)) => {
+                    job = back;
+                    refusal
+                }
+            };
+            // How long a full lane is waited for: `None` = indefinitely.
+            let wait_until = match (refusal, mode) {
+                (Refusal::Closed, _) => return Err(ServeError::Shutdown),
+                (Refusal::Shed, _) => {
+                    ledger.shed_predicted.fetch_add(1, Ordering::Relaxed);
+                    return Err(ServeError::Shed {
+                        waited: Duration::from_nanos(now - start_ns),
+                    });
+                }
+                (Refusal::Full, AdmissionMode::NoWait) => {
+                    ledger.rejected.fetch_add(1, Ordering::Relaxed);
+                    return Err(ServeError::QueueFull);
+                }
+                (Refusal::Full, AdmissionMode::Block) => None,
+                (Refusal::Full, AdmissionMode::Within(d) | AdmissionMode::Slo(d)) => {
+                    Some(limit_ns(d))
+                }
+            };
+            match wait_until {
+                None => shared.not_full.wait(&mut st),
+                Some(until) if now >= until => {
+                    ledger.expired.fetch_add(1, Ordering::Relaxed);
+                    return Err(ServeError::DeadlineExceeded);
+                }
+                Some(until) => {
+                    let _ = shared
+                        .not_full
+                        .wait_for(&mut st, Duration::from_nanos(until - now));
+                }
             }
-            if self.shared.now_ns() >= deadline_abs {
-                drop(st);
-                self.shared.stats.classes[class.index()]
-                    .expired
-                    .fetch_add(1, Ordering::Relaxed);
-                return Err(ServeError::DeadlineExceeded);
-            }
-            let remaining = slo.saturating_sub(t0.elapsed());
-            let _ = self.shared.not_full.wait_for(&mut st, remaining);
         }
-    }
-
-    /// Convenience closed loop: blocking submit into the default class,
-    /// then wait for the result.
-    pub fn call(&self, feeds: Vec<Tensor>) -> Result<Vec<Tensor>, ServeError> {
-        self.submit(feeds)?.wait()
-    }
-
-    fn enqueue(
-        &self,
-        mut st: MutexGuard<'_, QueueState>,
-        class: Priority,
-        feeds: Vec<Tensor>,
-        deadline_ns: Option<u64>,
-    ) -> ServeTicket {
-        let (tx, rx) = bounded(1);
-        let now = self.shared.now_ns();
-        st.queue
-            .push_deadline(class, Request { feeds, tx }, now, deadline_ns);
-        // Count before releasing the lock: the dispatcher cannot pop (and
-        // so cannot complete) this request until the lock drops, which
-        // keeps `submitted ≥ completed + failed` in every stats snapshot.
-        self.shared.stats.classes[class.index()]
-            .submitted
-            .fetch_add(1, Ordering::Relaxed);
-        drop(st);
-        self.shared.not_empty.notify_one();
-        ServeTicket { rx }
     }
 
     /// The wave target the next dispatch wave will use — constant under
     /// [`WaveSizing::Fixed`], live controller output under
     /// [`WaveSizing::Dynamic`].
     pub fn wave_target(&self) -> usize {
-        self.shared.stats.wave_target.load(Ordering::Relaxed)
+        self.shared.state.lock().wave_target()
     }
 
     /// The per-class admission-lane slot count.
     pub fn capacity(&self) -> usize {
-        self.shared.capacity
+        self.shared.config.capacity.max(1)
     }
 
     /// The dispatcher's current per-request service EWMA, nanoseconds —
     /// `None` until the first dynamically-sized wave completes (or under
     /// [`WaveSizing::Fixed`], which never observes).
     pub fn service_ewma_ns(&self) -> Option<u64> {
-        match self.shared.stats.ewma_ns.load(Ordering::Relaxed) {
+        match self.shared.state.lock().service_ewma_ns() {
             0 => None,
             ns => Some(ns),
         }
@@ -1335,12 +1204,12 @@ impl ServeClient {
     /// The cluster's join-shortest-queue router compares these across
     /// replicas via [`ReplicaSnapshot::predicted_wait_ns`].
     pub fn load_snapshot(&self) -> ReplicaSnapshot {
-        let queue_depth = self.shared.state.lock().queue.len();
+        let st = self.shared.state.lock();
         ReplicaSnapshot {
-            queue_depth,
+            queue_depth: st.len(),
             in_flight: self.shared.stats.in_flight.load(Ordering::Relaxed),
-            service_ewma_ns: self.shared.stats.ewma_ns.load(Ordering::Relaxed),
-            workers: self.shared.workers,
+            service_ewma_ns: st.service_ewma_ns(),
+            workers: st.workers(),
         }
     }
 
@@ -1354,52 +1223,46 @@ impl ServeClient {
     /// Snapshot of the loop's counters and latency percentiles,
     /// aggregate and per class.
     pub fn stats(&self) -> ServeStats {
-        let depths: [usize; Priority::COUNT] = {
-            let st = self.shared.state.lock();
-            [
-                st.queue.len_class(Priority::Interactive),
-                st.queue.len_class(Priority::Batch),
-                st.queue.len_class(Priority::BestEffort),
-            ]
-        };
         let s = &self.shared.stats;
+        let mut agg = {
+            let st = self.shared.state.lock();
+            ServeStats {
+                batches: st.waves(),
+                wave_target: st.wave_target(),
+                service_ewma_ns: st.service_ewma_ns(),
+                classes: Priority::ALL.map(|p| ClassStats {
+                    queue_depth: st.len_class(p),
+                    ..ClassStats::default()
+                }),
+                ..ServeStats::default()
+            }
+        };
         // Fusion rates: executor-lifetime counters past the loop-start
         // baseline. Completed runs fold their per-run counters into the
         // executor aggregate at finish, so these are exact once a wave has
         // joined (in-flight work shows up on completion).
         let exec_now = self.shared.exec_stats.snapshot();
         let base = &self.shared.fusion_base;
-        let mut agg = ServeStats {
-            batches: s.batches.load(Ordering::Relaxed),
-            in_flight: s.in_flight.load(Ordering::Relaxed),
-            wave_target: s.wave_target.load(Ordering::Relaxed),
-            service_ewma_ns: s.ewma_ns.load(Ordering::Relaxed),
-            wait: s.wait.percentiles(),
-            service: s.service.percentiles(),
-            total: s.total.percentiles(),
-            fusion_groups: exec_now.fused_groups - base.fused_groups,
-            fusion_instances: exec_now.fused_tasks - base.fused_tasks,
-            fusion_eligible: exec_now.fusable_seen - base.fusable_seen,
-            ..ServeStats::default()
-        };
-        for p in Priority::ALL {
-            let i = p.index();
-            let ledger = &s.classes[i];
-            let c = ClassStats {
-                submitted: ledger.submitted.load(Ordering::Relaxed),
-                rejected: ledger.rejected.load(Ordering::Relaxed),
-                expired: ledger.expired.load(Ordering::Relaxed),
-                completed: ledger.completed.load(Ordering::Relaxed),
-                failed: ledger.failed.load(Ordering::Relaxed),
-                shed: ledger.shed.load(Ordering::Relaxed),
-                shed_inflight: ledger.shed_inflight.load(Ordering::Relaxed),
-                shed_predicted: ledger.shed_predicted.load(Ordering::Relaxed),
-                abandoned: ledger.abandoned.load(Ordering::Relaxed),
-                queue_depth: depths[i],
-                wait: ledger.wait.percentiles(),
-                service: ledger.service.percentiles(),
-                total: ledger.total.percentiles(),
-            };
+        agg.in_flight = s.in_flight.load(Ordering::Relaxed);
+        agg.wait = s.wait.percentiles();
+        agg.service = s.service.percentiles();
+        agg.total = s.total.percentiles();
+        agg.fusion_groups = exec_now.fused_groups - base.fused_groups;
+        agg.fusion_instances = exec_now.fused_tasks - base.fused_tasks;
+        agg.fusion_eligible = exec_now.fusable_seen - base.fusable_seen;
+        for (c, ledger) in agg.classes.iter_mut().zip(&s.classes) {
+            c.submitted = ledger.submitted.load(Ordering::Relaxed);
+            c.rejected = ledger.rejected.load(Ordering::Relaxed);
+            c.expired = ledger.expired.load(Ordering::Relaxed);
+            c.completed = ledger.completed.load(Ordering::Relaxed);
+            c.failed = ledger.failed.load(Ordering::Relaxed);
+            c.shed = ledger.shed.load(Ordering::Relaxed);
+            c.shed_inflight = ledger.shed_inflight.load(Ordering::Relaxed);
+            c.shed_predicted = ledger.shed_predicted.load(Ordering::Relaxed);
+            c.abandoned = ledger.abandoned.load(Ordering::Relaxed);
+            c.wait = ledger.wait.percentiles();
+            c.service = ledger.service.percentiles();
+            c.total = ledger.total.percentiles();
             agg.submitted += c.submitted;
             agg.rejected += c.rejected;
             agg.expired += c.expired;
@@ -1410,7 +1273,6 @@ impl ServeClient {
             agg.shed_predicted += c.shed_predicted;
             agg.abandoned += c.abandoned;
             agg.queue_depth += c.queue_depth;
-            agg.classes[i] = c;
         }
         agg
     }
@@ -1421,7 +1283,7 @@ impl ServeClient {
     /// Idempotent across clients: the first caller joins the dispatcher,
     /// later callers (and later submits) observe [`ServeError::Shutdown`].
     pub fn shutdown(&self) {
-        self.shared.state.lock().open = false;
+        self.shared.state.lock().close();
         self.shared.not_empty.notify_all();
         self.shared.not_full.notify_all();
         let handle = self.shared.dispatcher.lock().take();
@@ -1431,13 +1293,18 @@ impl ServeClient {
     }
 }
 
+/// A `Duration` as whole nanoseconds, saturating at `u64::MAX`.
+fn duration_ns(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
+}
+
 /// The response slot of one admitted request.
 ///
 /// Independent of the [`ServeClient`] that produced it: a ticket delivers
 /// even after every client is dropped (accepted requests are drained on
 /// shutdown, never discarded).
 pub struct ServeTicket {
-    rx: Receiver<Result<Vec<Tensor>, ServeError>>,
+    rx: Receiver<Reply>,
 }
 
 impl fmt::Debug for ServeTicket {
@@ -1487,7 +1354,7 @@ mod tests {
     fn latency_percentiles_are_ordered_and_windowed() {
         let t = LatencyTrack::new(8);
         for us in [100u64, 200, 300, 400, 500, 600, 700, 800] {
-            t.record(Duration::from_micros(us));
+            t.record_ns(us * 1_000);
         }
         let p = t.percentiles();
         assert_eq!(p.count, 8);
@@ -1495,7 +1362,7 @@ mod tests {
         assert!((p.mean_us - 450.0).abs() < 1.0);
         // The ring slides: 8 huge samples push the small ones out.
         for _ in 0..8 {
-            t.record(Duration::from_micros(10_000));
+            t.record_ns(10_000_000);
         }
         let p = t.percentiles();
         assert_eq!(p.count, 16, "count is lifetime");

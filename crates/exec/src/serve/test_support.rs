@@ -3,10 +3,9 @@
 //!
 //! Wave-sizing and aging decisions must be *asserted exactly* — not
 //! probed with sleeps that flake on a loaded 1-core CI container. The
-//! live dispatcher makes every scheduling decision through two pure,
-//! clock-free units: the aged-priority pop of `classes::ClassQueues` and
-//! the EWMA wave target of `controller::WaveController`. This module
-//! wires those same units to a **virtual clock** and **scripted service
+//! live dispatcher makes every admission and wave decision through one
+//! clock-free state machine, `classes::Dispatcher`. This module runs
+//! that same core on a **virtual clock** with **scripted service
 //! durations**, so a test can write
 //!
 //! ```
@@ -21,9 +20,8 @@
 //! assert_eq!(wave.requests[1].id, 1);
 //! ```
 //!
-//! and every assertion is a pure function of the script. The harness
-//! mirrors the live loop faithfully: waves are popped with the same rule
-//! at the same virtual `now`, requests "execute" on `workers` simulated
+//! and every assertion is a pure function of the script. Only what
+//! surrounds the core is simulated: requests "execute" on `workers` simulated
 //! lanes (greedy list scheduling in dispatch order), completions are
 //! observed **in dispatch order** (the live dispatcher joins its wave in
 //! submission order, so a later request's observed service includes any
@@ -32,8 +30,7 @@
 //! would double-count intra-wave queueing), and the virtual clock
 //! advances by the wave's simulated drain time.
 
-use super::classes::ClassQueues;
-use super::controller::{predicted_wait_ns, WaveController};
+use super::classes::{cancels_in_flight, Dispatcher, Refusal, Wave};
 use super::{Priority, ServeConfig};
 use crate::batch::plan_groups;
 use std::hash::Hash;
@@ -131,9 +128,9 @@ impl ScriptedWave {
     }
 }
 
-/// The scripted twin of the live serve dispatcher: same class lanes, same
-/// pop rule, same wave controller — but time is a `u64` the test owns and
-/// service durations come from a script instead of an executor.
+/// The scripted twin of the live serve dispatcher: the same dispatcher
+/// core, but time is a `u64` the test owns and service durations come
+/// from a script instead of an executor.
 ///
 /// Beyond the happy path, the harness scripts the *lifecycle* events the
 /// live loop races against in the stress tests:
@@ -150,23 +147,12 @@ impl ScriptedWave {
 ///   `rdg_cluster::virtual_time` (same semantics the fuzzer's `Stall`
 ///   event and the cluster delay injector share).
 pub struct ScriptedServe {
-    queues: ClassQueues<u64>,
-    controller: WaveController,
-    workers: usize,
-    capacity: usize,
+    core: Dispatcher<u64>,
     now_ns: u64,
     /// Virtual time before which each simulated worker lane is busy with
     /// injected (non-request) work. Lane `w` starts requests no earlier
     /// than `stall_until[w]`.
     stall_until: Vec<u64>,
-    /// `false` once shutdown was scripted (explicitly or by dropping the
-    /// last client): submits are rejected, queued work still drains.
-    open: bool,
-    /// Scripted client-handle count; hitting zero closes admission.
-    clients: usize,
-    /// Least-urgent end of the classes eligible for predictive admission
-    /// shedding (copied from [`ServeConfig::predictive_shed_from`]).
-    predictive_shed_from: Option<Priority>,
     /// Per-class predictive-shed tally — the twin of the live
     /// `shed_predicted` counters.
     shed_predicted: [u64; Priority::COUNT],
@@ -177,18 +163,11 @@ impl ScriptedServe {
     /// capacity, sizing, and aging parameters (the latency-window knob is
     /// irrelevant here — the harness reports raw numbers, not windows).
     pub fn new(workers: usize, config: &ServeConfig) -> Self {
-        let aging_ns = config.aging_step.as_nanos().min(u64::MAX as u128) as u64;
         let workers = workers.max(1);
         ScriptedServe {
-            queues: ClassQueues::new(aging_ns),
-            controller: WaveController::new(config.sizing, config.batch_multiple, workers),
-            workers,
-            capacity: config.capacity.max(1),
+            core: Dispatcher::new(config, workers),
             now_ns: 0,
             stall_until: vec![0; workers],
-            open: true,
-            clients: 1,
-            predictive_shed_from: config.predictive_shed_from,
             shed_predicted: [0; Priority::COUNT],
         }
     }
@@ -210,11 +189,7 @@ impl ScriptedServe {
     /// — or when admission is closed (the analogue of
     /// [`super::ServeError::Shutdown`]).
     pub fn submit(&mut self, class: Priority, id: u64) -> bool {
-        if !self.open || self.queues.len_class(class) >= self.capacity {
-            return false;
-        }
-        self.queues.push(class, id, self.now_ns);
-        true
+        self.core.admit(class, id, self.now_ns, None).is_ok()
     }
 
     /// Submits request `id` into `class` with an end-to-end SLO of
@@ -223,33 +198,15 @@ impl ScriptedServe {
     /// enforces apply — predictive admission here, pop-time eviction and
     /// mid-service cancellation in [`ScriptedServe::run_wave`].
     pub fn submit_deadline(&mut self, class: Priority, id: u64, slo_ns: u64) -> ScriptedAdmission {
-        if !self.open || self.queues.len_class(class) >= self.capacity {
-            return ScriptedAdmission::Rejected;
-        }
-        if let Some(from) = self.predictive_shed_from {
-            if class.index() >= from.index() {
-                if let Some(ewma) = self.controller.ewma_ns() {
-                    let predicted = predicted_wait_ns(
-                        self.queues.len_class(class),
-                        ewma.max(0.0) as u64,
-                        self.workers,
-                    );
-                    // `now + predicted > now + slo` ⇔ `predicted > slo`:
-                    // same inequality the live submit path evaluates.
-                    if predicted > slo_ns {
-                        self.shed_predicted[class.index()] += 1;
-                        return ScriptedAdmission::Shed;
-                    }
-                }
+        let deadline = self.now_ns.saturating_add(slo_ns);
+        match self.core.admit(class, id, self.now_ns, Some(deadline)) {
+            Ok(()) => ScriptedAdmission::Admitted,
+            Err((Refusal::Shed, _)) => {
+                self.shed_predicted[class.index()] += 1;
+                ScriptedAdmission::Shed
             }
+            Err(_) => ScriptedAdmission::Rejected,
         }
-        self.queues.push_deadline(
-            class,
-            id,
-            self.now_ns,
-            Some(self.now_ns.saturating_add(slo_ns)),
-        );
-        ScriptedAdmission::Admitted
     }
 
     /// Per-class predictive-shed counts so far (the twin of the live
@@ -261,28 +218,25 @@ impl ScriptedServe {
     /// Whether admission is still open (no scripted shutdown yet and at
     /// least one client handle alive).
     pub fn is_open(&self) -> bool {
-        self.open
+        self.core.is_open()
     }
 
     /// Scripts [`super::ServeClient::shutdown`]: admission closes
     /// immediately; requests already queued still drain through
     /// [`ScriptedServe::run_wave`] / [`ScriptedServe::drain`].
     pub fn shutdown(&mut self) {
-        self.open = false;
+        self.core.close();
     }
 
     /// Scripts cloning a client handle (the live `ServeClient::clone`).
     pub fn clone_client(&mut self) {
-        self.clients += 1;
+        self.core.add_client();
     }
 
     /// Scripts dropping a client handle. Dropping the last one closes
     /// admission, exactly like the live last-`Drop` path.
     pub fn drop_client(&mut self) {
-        self.clients = self.clients.saturating_sub(1);
-        if self.clients == 0 {
-            self.open = false;
-        }
+        self.core.drop_client();
     }
 
     /// Injects a replica-level delay: worker lane `lane % workers` is
@@ -292,7 +246,7 @@ impl ScriptedServe {
     /// controller observes the inflated drain, exactly as the live
     /// controller would behind a straggling replica).
     pub fn stall_worker(&mut self, lane: usize, dur_ns: u64) {
-        let lane = lane % self.workers;
+        let lane = lane % self.stall_until.len();
         let until = self.now_ns.saturating_add(dur_ns);
         if until > self.stall_until[lane] {
             self.stall_until[lane] = until;
@@ -301,35 +255,32 @@ impl ScriptedServe {
 
     /// Requests queued across all lanes.
     pub fn queue_depth(&self) -> usize {
-        self.queues.len()
+        self.core.len()
     }
 
     /// Requests queued in `class`'s lane.
     pub fn queue_depth_class(&self, class: Priority) -> usize {
-        self.queues.len_class(class)
+        self.core.len_class(class)
     }
 
     /// The wave target the next [`ScriptedServe::run_wave`] will use.
     pub fn wave_target(&self) -> usize {
-        self.controller.target()
+        self.core.wave_target()
     }
 
     /// The controller's current service-time EWMA, nanoseconds (`None`
     /// before any wave ran, or under fixed sizing).
     pub fn ewma_ns(&self) -> Option<f64> {
-        self.controller.ewma_ns()
+        self.core.ewma_ns()
     }
 
-    /// Forms and "executes" the next wave: pops up to the controller's
-    /// target with the aged-priority rule at the current virtual time,
-    /// **evicting** any popped request whose deadline has already passed
-    /// (evictions consume no wave slots — exactly the live pop-time shed),
-    /// runs each surviving request for `service_ns(id)` nanoseconds on
-    /// `workers` greedy simulated lanes, observes completions in dispatch
-    /// order (like the live join loop, cancelling any request whose
-    /// deadline passes before the join reaches a finished run —
-    /// `shed_inflight`), feeds the controller the wave's request count +
-    /// drain time, and advances the clock to the wave's last completion.
+    /// Forms the next wave through the core at the current virtual time
+    /// (aged-priority pop, pop-time eviction), runs each dispatched request
+    /// for `service_ns(id)` nanoseconds on `workers` greedy simulated
+    /// lanes, observes completions in dispatch order under the core's
+    /// mid-service cancel rule (`shed_inflight`), feeds the controller the
+    /// wave's request count + drain time, and advances the clock to the
+    /// wave's last completion.
     ///
     /// Returns `None` when nothing is queued. A wave in which *every*
     /// popped request was evicted comes back with empty `requests` — like
@@ -358,31 +309,22 @@ impl ScriptedServe {
         fuse_sig: impl Fn(u64) -> Option<K>,
         max_group: usize,
     ) -> Option<ScriptedWave> {
-        if self.queues.is_empty() {
-            return None;
-        }
-        let target = self.controller.target();
         let dispatched_ns = self.now_ns;
-        let mut popped = Vec::new();
-        let mut evicted = Vec::new();
-        while popped.len() < target {
-            match self.queues.pop_next(self.now_ns) {
-                Some(q) => {
-                    if let Some(d) = q.deadline_ns.filter(|&d| self.now_ns >= d) {
-                        evicted.push(ScriptedShed {
-                            id: q.item,
-                            class: q.class,
-                            enqueued_ns: q.enqueued_ns,
-                            deadline_ns: d,
-                            shed_ns: self.now_ns,
-                        });
-                    } else {
-                        popped.push(q);
-                    }
-                }
-                None => break,
-            }
-        }
+        let Wave {
+            target,
+            dispatched: popped,
+            evicted,
+        } = self.core.next_wave(dispatched_ns)?;
+        let evicted = evicted
+            .into_iter()
+            .map(|q| ScriptedShed {
+                id: q.item,
+                class: q.class,
+                enqueued_ns: q.enqueued_ns,
+                deadline_ns: q.deadline_ns.expect("only deadline requests are evicted"),
+                shed_ns: dispatched_ns,
+            })
+            .collect();
         // Group formation over the surviving pop order, then greedy list
         // scheduling in group order: each group starts on the earliest-free
         // simulated worker and runs for the max of its members' services
@@ -397,7 +339,7 @@ impl ScriptedServe {
             .collect();
         let mut finishes = vec![0u64; popped.len()];
         for g in &groups {
-            let lane = (0..self.workers)
+            let lane = (0..avail.len())
                 .min_by_key(|&w| avail[w])
                 .expect("at least one worker");
             let dur = g
@@ -423,37 +365,23 @@ impl ScriptedServe {
         let mut requests = Vec::with_capacity(popped.len());
         let mut observed = dispatched_ns;
         for (q, finish) in popped.into_iter().zip(finishes) {
-            let cancel = q
-                .deadline_ns
-                .map_or(false, |d| observed >= d && finish > observed);
-            if cancel {
-                requests.push(ScriptedRequest {
-                    id: q.item,
-                    class: q.class,
-                    enqueued_ns: q.enqueued_ns,
-                    deadline_ns: q.deadline_ns,
-                    wait_ns: dispatched_ns.saturating_sub(q.enqueued_ns),
-                    service_ns: observed - dispatched_ns,
-                    done_ns: observed,
-                    shed_inflight: true,
-                });
-                continue;
+            let shed_inflight = cancels_in_flight(q.deadline_ns, observed, || finish <= observed);
+            if !shed_inflight {
+                observed = observed.max(finish);
             }
-            observed = observed.max(finish);
-            let service = observed - dispatched_ns;
             requests.push(ScriptedRequest {
                 id: q.item,
                 class: q.class,
                 enqueued_ns: q.enqueued_ns,
                 deadline_ns: q.deadline_ns,
                 wait_ns: dispatched_ns.saturating_sub(q.enqueued_ns),
-                service_ns: service,
+                service_ns: observed - dispatched_ns,
                 done_ns: observed,
-                shed_inflight: false,
+                shed_inflight,
             });
         }
         if !requests.is_empty() {
-            self.controller
+            self.core
                 .observe_wave(requests.len(), observed - dispatched_ns);
         }
         self.now_ns = observed;

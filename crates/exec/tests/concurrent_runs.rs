@@ -5,45 +5,14 @@
 //! `Session::run_many`, and a stress test hammering one session from eight
 //! OS threads at once.
 
+mod common;
+
+use common::{gauss, sum_module};
 use rdg_exec::{ExecError, Executor, Session};
-use rdg_graph::{Module, ModuleBuilder};
-use rdg_tensor::{DType, Tensor};
+use rdg_tensor::Tensor;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// `sum(n) = n == 0 ? 0 : n + sum(n-1)`, with `n` fed as a main input —
-/// every run of the same session can request a different depth.
-fn sum_module() -> Module {
-    let mut mb = ModuleBuilder::new();
-    let h = mb.declare_subgraph("sum", &[DType::I32], &[DType::I32]);
-    mb.define_subgraph(&h, |b| {
-        let n = b.input(0)?;
-        let zero = b.const_i32(0);
-        let p = b.igt(n, zero)?;
-        let out = b.cond1(
-            p,
-            DType::I32,
-            |b| {
-                let one = b.const_i32(1);
-                let m = b.isub(n, one)?;
-                let rec = b.invoke(&h, &[m])?[0];
-                b.iadd(n, rec)
-            },
-            |b| b.identity(zero),
-        )?;
-        Ok(vec![out])
-    })
-    .unwrap();
-    let n = mb.main_input(DType::I32);
-    let out = mb.invoke(&h, &[n]).unwrap();
-    mb.set_outputs(&[out[0]]).unwrap();
-    mb.finish().unwrap()
-}
-
-fn gauss(n: i32) -> i32 {
-    n * (n + 1) / 2
-}
 
 #[test]
 fn submitted_runs_execute_concurrently_and_deliver_independent_results() {

@@ -30,39 +30,16 @@
 //! and requires the *same* dispatch log: fusion is a property of kernel
 //! execution within a wave and must never leak into scheduling decisions.
 
-use rdg_exec::serve::test_support::{ScriptedAdmission, ScriptedServe};
-use rdg_exec::{Executor, Priority, ServeConfig, ServeError, Session, WaveRecord, WaveSizing};
-use rdg_graph::{Module, ModuleBuilder};
-use rdg_tensor::{DType, Tensor};
-use std::time::Duration;
+mod common;
 
-/// `sum(n)` with `n` fed as a main input (the serving tests' fixture).
-fn sum_module() -> Module {
-    let mut mb = ModuleBuilder::new();
-    let h = mb.declare_subgraph("sum", &[DType::I32], &[DType::I32]);
-    mb.define_subgraph(&h, |b| {
-        let n = b.input(0)?;
-        let zero = b.const_i32(0);
-        let p = b.igt(n, zero)?;
-        let out = b.cond1(
-            p,
-            DType::I32,
-            |b| {
-                let one = b.const_i32(1);
-                let m = b.isub(n, one)?;
-                let rec = b.invoke(&h, &[m])?[0];
-                b.iadd(n, rec)
-            },
-            |b| b.identity(zero),
-        )?;
-        Ok(vec![out])
-    })
-    .unwrap();
-    let n = mb.main_input(DType::I32);
-    let out = mb.invoke(&h, &[n]).unwrap();
-    mb.set_outputs(&[out[0]]).unwrap();
-    mb.finish().unwrap()
-}
+use common::sum_module;
+use rdg_exec::serve::test_support::{ScriptedAdmission, ScriptedServe};
+use rdg_exec::{
+    AdmissionMode, Executor, Priority, Request, ServeConfig, ServeError, Session, WaveRecord,
+    WaveSizing,
+};
+use rdg_tensor::Tensor;
+use std::time::Duration;
 
 /// The scenario's class sequence for the ten queued requests (admission
 /// sequence numbers 1..=10; seq 0 is the blocker).
@@ -164,7 +141,7 @@ fn live_log_attempt(fused: bool) -> Option<Vec<WaveRecord>> {
         .iter()
         .map(|&class| {
             client
-                .submit_with(class, vec![Tensor::scalar_i32(5)])
+                .submit(Request::new(vec![Tensor::scalar_i32(5)]).class(class))
                 .unwrap()
         })
         .collect();
@@ -172,7 +149,11 @@ fn live_log_attempt(fused: bool) -> Option<Vec<WaveRecord>> {
         .iter()
         .map(|&class| {
             client
-                .submit_slo_with(class, vec![Tensor::scalar_i32(5)], Duration::ZERO)
+                .submit(
+                    Request::new(vec![Tensor::scalar_i32(5)])
+                        .class(class)
+                        .mode(AdmissionMode::Slo(Duration::ZERO)),
+                )
                 .expect("zero-SLO request admits (lane has space, no EWMA yet)")
         })
         .collect();

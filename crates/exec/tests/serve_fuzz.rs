@@ -5,6 +5,10 @@
 //! per-push smoke; the default here keeps local `cargo test` fast). The
 //! campaign runs entirely on the virtual clock, so even hundreds of
 //! iterations finish in well under a second.
+//!
+//! `default_campaign_is_pinned_exactly` ignores that knob: it replays the
+//! default `rdg_fuzz_serve` campaign in full and compares it with the
+//! files under `tests/campaign_pin/`.
 
 use rdg_exec::serve::fuzz::{
     generate, minimize, mutate, replay, replay_fused, run_campaign, FuzzConfig, FuzzRng, Scenario,
@@ -67,6 +71,38 @@ fn campaign_oracles_hold_and_search_makes_progress() {
     // committable as a corpus file.
     let out = replay(&report.worst);
     assert_eq!(Some(out.interactive_p99_ns), report.worst.expect_p99_ns);
+}
+
+/// The default `rdg_fuzz_serve` campaign (seed `0xF4E7`, 2000 iterations)
+/// pinned exactly: replay count, worst p99, the whole improvement
+/// trajectory, and both minimized champions. Every one of the campaign's
+/// ~3.9k replays runs thousands of admission, pop, eviction and
+/// controller decisions through the twin, so a change to any of them
+/// moves at least one of these values.
+#[test]
+fn default_campaign_is_pinned_exactly() {
+    let report = run_campaign(&FuzzConfig::default());
+    assert!(report.violations.is_empty());
+    // `minimize` checks its input with a `debug_assert!` that calls the
+    // counting predicate, once for each of the campaign's two
+    // minimizations, so debug builds count two more replays.
+    let debug_checks = if cfg!(debug_assertions) { 2 } else { 0 };
+    assert_eq!(report.executed, 3876 + debug_checks);
+    assert_eq!(report.worst_p99_ns, 900_123_981);
+    let trajectory: String = report
+        .improvements
+        .iter()
+        .map(|(iter, p99)| format!("{iter} {p99}\n"))
+        .collect();
+    assert_eq!(trajectory, include_str!("campaign_pin/improvements.txt"));
+    assert_eq!(
+        report.worst.to_ron(),
+        include_str!("campaign_pin/worst.ron")
+    );
+    assert_eq!(
+        report.worst_shed.map(|sc| sc.to_ron()).as_deref(),
+        Some(include_str!("campaign_pin/worst_shed.ron"))
+    );
 }
 
 #[test]

@@ -25,11 +25,13 @@
 //! closes exactly (no request lost or duplicated) — thread scheduling may
 //! vary, the asserted counters may not.
 
+mod common;
+
+use common::{gauss, sum_module};
 use proptest::prelude::*;
 use rdg_exec::serve::test_support::{ScriptedRequest, ScriptedServe};
-use rdg_exec::{Executor, Priority, ServeConfig, ServeError, Session, WaveSizing};
-use rdg_graph::{Module, ModuleBuilder};
-use rdg_tensor::{DType, Tensor};
+use rdg_exec::{Executor, Priority, Request, ServeConfig, ServeError, Session, WaveSizing};
+use rdg_tensor::Tensor;
 use std::time::Duration;
 
 const STEP_NS: u64 = 1_000_000; // 1 ms aging step in every scripted run
@@ -466,38 +468,6 @@ proptest! {
 // End-to-end conservation on the real ServeQueue.
 // ---------------------------------------------------------------------
 
-/// `sum(n)` with `n` fed as a main input (the shared serving fixture).
-fn sum_module() -> Module {
-    let mut mb = ModuleBuilder::new();
-    let h = mb.declare_subgraph("sum", &[DType::I32], &[DType::I32]);
-    mb.define_subgraph(&h, |b| {
-        let n = b.input(0)?;
-        let zero = b.const_i32(0);
-        let p = b.igt(n, zero)?;
-        let out = b.cond1(
-            p,
-            DType::I32,
-            |b| {
-                let one = b.const_i32(1);
-                let m = b.isub(n, one)?;
-                let rec = b.invoke(&h, &[m])?[0];
-                b.iadd(n, rec)
-            },
-            |b| b.identity(zero),
-        )?;
-        Ok(vec![out])
-    })
-    .unwrap();
-    let n = mb.main_input(DType::I32);
-    let out = mb.invoke(&h, &[n]).unwrap();
-    mb.set_outputs(&[out[0]]).unwrap();
-    mb.finish().unwrap()
-}
-
-fn gauss(n: i32) -> i32 {
-    ((n as i64 * (n as i64 + 1)) / 2) as i32
-}
-
 proptest! {
     #[test]
     fn no_request_lost_or_duplicated_across_submit_shutdown_interleavings(
@@ -528,7 +498,9 @@ proptest! {
                 1 if clones.len() > 1 => {
                     clones.pop();
                 }
-                _ => match client.submit_with(class_of(class_idx), vec![Tensor::scalar_i32(n)]) {
+                _ => match client
+                    .submit(Request::new(vec![Tensor::scalar_i32(n)]).class(class_of(class_idx)))
+                {
                     Ok(t) => {
                         prop_assert!(i < shutdown_at, "admission after shutdown");
                         accepted += 1;

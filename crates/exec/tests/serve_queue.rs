@@ -1,59 +1,34 @@
 //! Admission-controlled serving: the `ServeQueue` / `ServeClient` surface.
 //!
 //! Covers correctness under a multi-threaded client load (no request lost,
-//! results positional per ticket), backpressure (`try_submit` rejections on
+//! results positional per ticket), backpressure (`NoWait` rejections on
 //! a tiny queue, blocking `submit` progress, deadline expiry), wave sizing
 //! from the worker count, per-request error isolation, latency-snapshot
 //! monotonicity, the clean-shutdown path, and — since the QoS rework — a
 //! three-class stress storm with deadlines and abandoned tickets whose
 //! per-class accounting must close exactly.
 
-use rdg_exec::{ExecError, Executor, Priority, ServeConfig, ServeError, Session, WaveSizing};
-use rdg_graph::{Module, ModuleBuilder};
-use rdg_tensor::{DType, Tensor};
+mod common;
+
+use common::{gauss, sum_module};
+use rdg_exec::{
+    AdmissionMode, ExecError, Executor, Priority, Request, ServeConfig, ServeError, Session,
+    WaveSizing,
+};
+use rdg_tensor::Tensor;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// `sum(n)` with `n` fed as a main input (same fixture as the concurrent
-/// runtime tests): request cost scales with the fed depth.
-fn sum_module() -> Module {
-    let mut mb = ModuleBuilder::new();
-    let h = mb.declare_subgraph("sum", &[DType::I32], &[DType::I32]);
-    mb.define_subgraph(&h, |b| {
-        let n = b.input(0)?;
-        let zero = b.const_i32(0);
-        let p = b.igt(n, zero)?;
-        let out = b.cond1(
-            p,
-            DType::I32,
-            |b| {
-                let one = b.const_i32(1);
-                let m = b.isub(n, one)?;
-                let rec = b.invoke(&h, &[m])?[0];
-                b.iadd(n, rec)
-            },
-            |b| b.identity(zero),
-        )?;
-        Ok(vec![out])
-    })
-    .unwrap();
-    let n = mb.main_input(DType::I32);
-    let out = mb.invoke(&h, &[n]).unwrap();
-    mb.set_outputs(&[out[0]]).unwrap();
-    mb.finish().unwrap()
-}
-
-fn gauss(n: i32) -> i32 {
-    // i64 intermediate: n*(n+1) overflows i32 long before the sum does.
-    ((n as i64 * (n as i64 + 1)) / 2) as i32
-}
 
 #[test]
 fn single_request_roundtrip() {
     let s = Session::new(Executor::with_threads(2), sum_module()).unwrap();
     let client = s.serve();
-    let out = client.call(vec![Tensor::scalar_i32(10)]).unwrap();
+    let out = client
+        .submit(vec![Tensor::scalar_i32(10)])
+        .unwrap()
+        .wait()
+        .unwrap();
     assert_eq!(out[0].as_i32_scalar().unwrap(), 55);
     let st = client.stats();
     assert_eq!((st.submitted, st.completed, st.failed), (1, 1, 0));
@@ -72,7 +47,11 @@ fn fixed_wave_target_follows_worker_count() {
         ..ServeConfig::default()
     });
     assert_eq!(client.wave_target(), 12);
-    client.call(vec![Tensor::scalar_i32(50)]).unwrap();
+    client
+        .submit(vec![Tensor::scalar_i32(50)])
+        .unwrap()
+        .wait()
+        .unwrap();
     assert_eq!(client.wave_target(), 12, "fixed sizing never adapts");
     client.shutdown();
 }
@@ -143,7 +122,9 @@ fn try_submit_observes_backpressure_on_a_tiny_queue() {
     let mut tickets = Vec::new();
     let mut rejected = 0u64;
     for _ in 0..64 {
-        match client.try_submit(vec![Tensor::scalar_i32(20_000)]) {
+        match client
+            .submit(Request::new(vec![Tensor::scalar_i32(20_000)]).mode(AdmissionMode::NoWait))
+        {
             Ok(t) => tickets.push(t),
             Err(ServeError::QueueFull) => rejected += 1,
             Err(other) => panic!("unexpected {other:?}"),
@@ -174,12 +155,12 @@ fn submit_deadline_expires_on_a_saturated_queue() {
     // absolute speed.
     let deep = vec![Tensor::scalar_i32(60_000)];
     let probe = std::time::Instant::now();
-    client.call(deep.clone()).unwrap();
+    client.submit(deep.clone()).unwrap().wait().unwrap();
     let service = probe.elapsed();
     if service < Duration::from_millis(4) {
         // A host this fast makes sub-millisecond deadlines scheduler
         // noise; the expiry path is still covered by the wait_for shim
-        // test and the zero-margin arithmetic in submit_deadline.
+        // test and the zero-margin arithmetic of `AdmissionMode::Within`.
         eprintln!("host too fast for a meaningful deadline test ({service:?}); skipping");
         client.shutdown();
         return;
@@ -188,7 +169,7 @@ fn submit_deadline_expires_on_a_saturated_queue() {
     let t1 = client.submit(deep).unwrap();
     let t2 = client.submit(vec![Tensor::scalar_i32(1)]).unwrap();
     let err = client
-        .submit_deadline(vec![Tensor::scalar_i32(1)], deadline)
+        .submit(Request::new(vec![Tensor::scalar_i32(1)]).mode(AdmissionMode::Within(deadline)))
         .unwrap_err();
     assert!(matches!(err, ServeError::DeadlineExceeded), "{err}");
     assert_eq!(client.stats().expired, 1);
@@ -221,7 +202,7 @@ fn shutdown_drains_accepted_requests_and_rejects_new_ones() {
         Err(ServeError::Shutdown)
     ));
     assert!(matches!(
-        client.try_submit(vec![Tensor::scalar_i32(1)]),
+        client.submit(Request::new(vec![Tensor::scalar_i32(1)]).mode(AdmissionMode::NoWait)),
         Err(ServeError::Shutdown)
     ));
 }
@@ -242,9 +223,44 @@ fn dropping_the_last_client_shuts_the_loop_down() {
 }
 
 #[test]
+fn fusion_stays_on_until_the_last_fusing_loop_shuts_down() {
+    // Two sessions on one executor, each with its own serving loop:
+    // shutting one loop down must not turn cross-request fusion off
+    // under the other.
+    let exec = Executor::with_threads(2);
+    let a = Session::new(Arc::clone(&exec), sum_module()).unwrap();
+    let b = Session::new(Arc::clone(&exec), sum_module()).unwrap();
+    assert!(!exec.cross_request_fusion(), "bare executors run scalar");
+    let loop_a = a.serve();
+    let loop_b = b.serve();
+    assert!(exec.cross_request_fusion());
+    loop_a.shutdown();
+    assert!(exec.cross_request_fusion(), "loop B is still live");
+    // A loop started with batching off leaves the switch alone.
+    let scalar = a.serve_with(ServeConfig {
+        cross_request_batching: false,
+        ..ServeConfig::default()
+    });
+    assert!(exec.cross_request_fusion());
+    scalar.shutdown();
+    assert!(exec.cross_request_fusion(), "loop B is still live");
+    let out = loop_b
+        .submit(vec![Tensor::scalar_i32(10)])
+        .unwrap()
+        .wait()
+        .unwrap();
+    assert_eq!(out[0].as_i32_scalar().unwrap(), gauss(10));
+    loop_b.shutdown();
+    assert!(
+        !exec.cross_request_fusion(),
+        "the last fusing loop turns fusion off"
+    );
+}
+
+#[test]
 fn stress_many_clients_no_request_lost_and_snapshots_monotone() {
     // The satellite stress test: N client threads × M requests through a
-    // small bounded queue. Clients mix try_submit (falling back to the
+    // small bounded queue. Clients mix `NoWait` submits (falling back to the
     // blocking submit on QueueFull) with direct blocking submits, so the
     // queue actually exercises both admission paths under contention.
     const CLIENTS: usize = 6;
@@ -267,7 +283,7 @@ fn stress_many_clients_no_request_lost_and_snapshots_monotone() {
                 let n = ((c * PER_CLIENT + i) % 300) as i32;
                 let feeds = vec![Tensor::scalar_i32(n)];
                 let ticket = if i % 2 == 0 {
-                    match client.try_submit(feeds) {
+                    match client.submit(Request::new(feeds).mode(AdmissionMode::NoWait)) {
                         Ok(t) => t,
                         Err(ServeError::QueueFull) => {
                             fallbacks.fetch_add(1, Ordering::Relaxed);
@@ -372,7 +388,7 @@ fn shutdown_racing_a_dispatch_wave_loses_nothing() {
         // After shutdown returns, the dispatcher has drained and joined:
         // admission must fail and no queued work may remain.
         assert!(matches!(
-            client.try_submit(vec![Tensor::scalar_i32(1)]),
+            client.submit(Request::new(vec![Tensor::scalar_i32(1)]).mode(AdmissionMode::NoWait)),
             Err(ServeError::Shutdown)
         ));
         let mut accepted = 0u64;
@@ -397,8 +413,8 @@ fn shutdown_racing_a_dispatch_wave_loses_nothing() {
 #[test]
 fn stress_three_classes_with_deadlines_and_abandons() {
     // The QoS storm: two client threads per class hammer one queue
-    // through all three admission paths (try_submit with blocking
-    // fallback, submit_deadline with tiny deadlines that may expire on a
+    // through three admission modes (`NoWait` with blocking fallback,
+    // `Within` tiny deadlines that may expire on a
     // full lane, plain blocking submit), and some tickets are abandoned
     // (dropped without waiting — the "cancel" path: the dispatcher still
     // runs the request, the send just goes nowhere). Mid-storm snapshots
@@ -430,7 +446,7 @@ fn stress_three_classes_with_deadlines_and_abandons() {
                     let n = ((ci * 97 + t * 31 + i * 7) % 300) as i32;
                     let feeds = vec![Tensor::scalar_i32(n)];
                     let ticket = match i % 3 {
-                        0 => match client.try_submit(feeds) {
+                        0 => match client.submit(Request::new(feeds).mode(AdmissionMode::NoWait)) {
                             Ok(t) => t,
                             Err(ServeError::QueueFull) => {
                                 client.submit(vec![Tensor::scalar_i32(n)]).unwrap()
@@ -442,7 +458,8 @@ fn stress_three_classes_with_deadlines_and_abandons() {
                             // the lane is saturated, admit when not —
                             // both outcomes are legal, both accounted.
                             let d = Duration::from_micros(50 * (i as u64 % 4));
-                            match client.submit_deadline(feeds, d) {
+                            match client.submit(Request::new(feeds).mode(AdmissionMode::Within(d)))
+                            {
                                 Ok(t) => t,
                                 Err(ServeError::DeadlineExceeded) => {
                                     expired.fetch_add(1, Ordering::Relaxed);

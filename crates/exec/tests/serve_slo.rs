@@ -15,41 +15,18 @@
 //!    and skip with a note on hosts that cannot hold the race open,
 //!    since their decision logic is already pinned by layers 1–2.
 
+mod common;
+
+use common::sum_module;
 use rdg_exec::serve::fuzz::{generate, replay, FuzzRng};
 use rdg_exec::serve::test_support::{ScriptedAdmission, ScriptedServe};
-use rdg_exec::{Executor, Priority, ServeConfig, ServeError, ServeStats, Session, WaveSizing};
-use rdg_graph::{Module, ModuleBuilder};
-use rdg_tensor::{DType, Tensor};
+use rdg_exec::{
+    AdmissionMode, Executor, Priority, Request, ServeConfig, ServeError, ServeStats, Session,
+    WaveSizing,
+};
+use rdg_tensor::Tensor;
 use std::collections::{HashMap, HashSet};
 use std::time::{Duration, Instant};
-
-/// `sum(n)` with `n` fed as a main input (the serving tests' fixture).
-fn sum_module() -> Module {
-    let mut mb = ModuleBuilder::new();
-    let h = mb.declare_subgraph("sum", &[DType::I32], &[DType::I32]);
-    mb.define_subgraph(&h, |b| {
-        let n = b.input(0)?;
-        let zero = b.const_i32(0);
-        let p = b.igt(n, zero)?;
-        let out = b.cond1(
-            p,
-            DType::I32,
-            |b| {
-                let one = b.const_i32(1);
-                let m = b.isub(n, one)?;
-                let rec = b.invoke(&h, &[m])?[0];
-                b.iadd(n, rec)
-            },
-            |b| b.identity(zero),
-        )?;
-        Ok(vec![out])
-    })
-    .unwrap();
-    let n = mb.main_input(DType::I32);
-    let out = mb.invoke(&h, &[n]).unwrap();
-    mb.set_outputs(&[out[0]]).unwrap();
-    mb.finish().unwrap()
-}
 
 /// Exact accounting closure: everything admitted is delivered, shed, or
 /// abandoned — nothing lost, nothing double-counted.
@@ -214,6 +191,20 @@ fn twin_predictive_admission_shed_is_exact() {
         4,
         "the shed request was never queued; the admitted ones were"
     );
+    // The boundary: three best-effort requests queued ⇒ predicted wait
+    // 3 × 4 ms = 12 ms. A deadline exactly `now + predicted` away is
+    // admitted; one nanosecond less is shed.
+    assert_eq!(
+        s.submit_deadline(Priority::BestEffort, 6, 11_999_999),
+        ScriptedAdmission::Shed,
+        "now + predicted = deadline + 1: shed"
+    );
+    assert_eq!(
+        s.submit_deadline(Priority::BestEffort, 7, 12_000_000),
+        ScriptedAdmission::Admitted,
+        "now + predicted = deadline: admitted"
+    );
+    assert_eq!(s.shed_predicted(), [0, 0, 2]);
 }
 
 // ---------------------------------------------------------------------------
@@ -423,7 +414,7 @@ fn live_zero_slo_request_is_shed_at_pop() {
         ..ServeConfig::default()
     });
     let ticket = client
-        .submit_slo(vec![Tensor::scalar_i32(5)], Duration::ZERO)
+        .submit(Request::new(vec![Tensor::scalar_i32(5)]).mode(AdmissionMode::Slo(Duration::ZERO)))
         .expect("zero-SLO request admits: the lane is empty and no EWMA exists");
     match ticket.wait() {
         Err(ServeError::Shed { .. }) => {}
@@ -477,7 +468,7 @@ fn live_in_flight_request_past_deadline_is_cancelled() {
         let slo = unit * 2;
         let long = client.submit(vec![Tensor::scalar_i32(LONG_N)]).unwrap();
         let victim = client
-            .submit_slo(vec![Tensor::scalar_i32(LONG_N)], slo)
+            .submit(Request::new(vec![Tensor::scalar_i32(LONG_N)]).mode(AdmissionMode::Slo(slo)))
             .expect("admits: lane has space and fixed sizing keeps the EWMA unset");
         blocker.wait().unwrap();
         long.wait().unwrap();
@@ -544,7 +535,7 @@ fn live_predictive_shed_rejects_at_submit_when_backlog_exceeds_slo() {
         let backlog: Vec<_> = (0..2)
             .map(|_| {
                 client
-                    .submit_with(Priority::BestEffort, vec![Tensor::scalar_i32(5)])
+                    .submit(Request::new(vec![Tensor::scalar_i32(5)]).class(Priority::BestEffort))
                     .unwrap()
             })
             .collect();
@@ -552,8 +543,11 @@ fn live_predictive_shed_rejects_at_submit_when_backlog_exceeds_slo() {
         // always below it, so the submit must shed — unless the backlog
         // already drained (blocker finished: race miss, retry).
         let slo = Duration::from_nanos(ewma / 2);
-        let verdict =
-            client.submit_slo_with(Priority::BestEffort, vec![Tensor::scalar_i32(5)], slo);
+        let verdict = client.submit(
+            Request::new(vec![Tensor::scalar_i32(5)])
+                .class(Priority::BestEffort)
+                .mode(AdmissionMode::Slo(slo)),
+        );
         let depth_live = client.stats().queue_depth;
         blocker.wait().unwrap();
         for t in backlog {
