@@ -12,7 +12,8 @@
 //! the key's hash, so disjoint paths rarely contend.
 //!
 //! [`CacheKey`]s embed a hash-consed [`PathKey`]: a backward frame
-//! re-deriving its forward twin's path gets the *same* interned node back,
+//! re-deriving its forward twin's path gets the *same* interned node back
+//! from the run's path table,
 //! so bucket comparisons inside a probe are pointer compares and the key's
 //! hash is a precomputed load — the cache stays cheap even when recursion
 //! makes paths thousands of sites deep.
@@ -149,13 +150,14 @@ impl BackpropCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::path::Interner;
     use rdg_graph::{CallSiteId, SubGraphId};
     use std::sync::Arc;
 
-    fn key(site: u32, node: u32) -> CacheKey {
+    fn key(paths: &Interner, site: u32, node: u32) -> CacheKey {
         CacheKey {
             gref: GraphRef::Sub(SubGraphId(0)),
-            path: PathKey::root().child(CallSiteId(site)),
+            path: paths.child(&PathKey::root(), CallSiteId(site)),
             node: NodeId(node),
             port: 0,
         }
@@ -164,26 +166,28 @@ mod tests {
     #[test]
     fn insert_get_roundtrip() {
         let c = BackpropCache::new();
-        c.values.insert(key(1, 2), Tensor::scalar_f32(3.5));
-        let got = c.values.get(&key(1, 2)).unwrap();
+        let it = Interner::new();
+        c.values.insert(key(&it, 1, 2), Tensor::scalar_f32(3.5));
+        let got = c.values.get(&key(&it, 1, 2)).unwrap();
         assert_eq!(got.as_f32_scalar().unwrap(), 3.5);
-        assert!(c.values.get(&key(1, 3)).is_none());
-        assert!(c.values.get(&key(2, 2)).is_none());
+        assert!(c.values.get(&key(&it, 1, 3)).is_none());
+        assert!(c.values.get(&key(&it, 2, 2)).is_none());
     }
 
     #[test]
     fn distinct_paths_do_not_alias() {
         let c = BackpropCache::new();
+        let it = Interner::new();
         let base = PathKey::root();
         let k1 = CacheKey {
             gref: GraphRef::Main,
-            path: base.child(CallSiteId(1)).child(CallSiteId(2)),
+            path: it.child(&it.child(&base, CallSiteId(1)), CallSiteId(2)),
             node: NodeId(0),
             port: 0,
         };
         let k2 = CacheKey {
             gref: GraphRef::Main,
-            path: base.child(CallSiteId(2)).child(CallSiteId(1)),
+            path: it.child(&it.child(&base, CallSiteId(2)), CallSiteId(1)),
             node: NodeId(0),
             port: 0,
         };
@@ -196,8 +200,9 @@ mod tests {
     #[test]
     fn clear_empties_both_tables() {
         let c = BackpropCache::new();
-        c.values.insert(key(1, 1), Tensor::scalar_f32(0.0));
-        c.shapes.insert(key(1, 1), Shape::matrix(2, 2));
+        let it = Interner::new();
+        c.values.insert(key(&it, 1, 1), Tensor::scalar_f32(0.0));
+        c.shapes.insert(key(&it, 1, 1), Shape::matrix(2, 2));
         assert_eq!(c.values.len() + c.shapes.len(), 2);
         c.clear();
         assert!(c.values.is_empty());
@@ -213,8 +218,10 @@ mod tests {
         for t in 0..8 {
             let c = Arc::clone(&c);
             handles.push(std::thread::spawn(move || {
+                // One table per thread, as each run owns its own.
+                let it = Interner::new();
                 for i in 0..200u32 {
-                    let k = key(t * 1000 + i, i);
+                    let k = key(&it, t * 1000 + i, i);
                     c.values
                         .insert(k.clone(), Tensor::scalar_f32((t * 1000 + i) as f32));
                     let v = c.values.get(&k).expect("own write visible");

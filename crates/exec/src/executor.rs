@@ -33,7 +33,8 @@
 //! * **Frame-core pooling** — a frame's pending counters and value slots
 //!   are recycled through a per-graph free list on the [`ExecutionPlan`],
 //!   so activating a SubGraph in the steady state allocates nothing but
-//!   the `Frame` header itself.
+//!   the `Frame` header itself and, the first time its run reaches that
+//!   path, one node in the run's path table.
 //! * **Prelude publishing** — `Input` and `Const` nodes are resolved
 //!   *while the frame spawns* (the plan precomputed them), so a typical
 //!   invocation schedules only real operations through the queue.
@@ -54,7 +55,7 @@ use crate::cache::{BackpropCache, CacheKey};
 use crate::error::ExecError;
 use crate::kernel::{self, KernelCtx};
 use crate::params::{GradStore, ParamStore};
-use crate::path::PathKey;
+use crate::path::{Interner, PathKey};
 use crate::plan::{ExecutionPlan, ModulePlan, PreludeValue};
 use crate::queue::{ReadyQueue, SchedulerKind};
 use crate::stats::{ExecStats, StatsSnapshot};
@@ -263,6 +264,9 @@ pub struct RunContext {
     /// `exec_stats`, so the teardown fold in `Drop` takes only the
     /// straggler delta (`None` until the run delivers a result).
     absorbed: Mutex<Option<StatsSnapshot>>,
+    /// This run's invocation-path table: paths only need to be unique
+    /// among one run's frames, so it starts empty and drops with the run.
+    paths: Interner,
 }
 
 impl RunContext {
@@ -565,6 +569,7 @@ impl Executor {
             run_stats: Arc::new(ExecStats::new()),
             exec_stats: Arc::clone(&self.stats),
             absorbed: Mutex::new(None),
+            paths: Interner::new(),
         });
         if let Some(t) = spawn_frame(&run, GraphRef::Main, PathKey::root(), feeds, None, 0) {
             self.queue.push(0, t);
@@ -752,7 +757,7 @@ fn execute_task(task: Task) -> Option<Task> {
 
     match &n.op {
         OpKind::Invoke { sub, site, .. } => {
-            let child_path = frame.path.child(*site);
+            let child_path = run.paths.child(&frame.path, *site);
             let depth = frame.depth + 1;
             let link = ParentLink {
                 frame: Arc::clone(&frame),
@@ -793,7 +798,7 @@ fn execute_task(task: Task) -> Option<Task> {
             } else {
                 (*sub_else, *site_else, else_args)
             };
-            let child_path = frame.path.child(site);
+            let child_path = run.paths.child(&frame.path, site);
             let depth = frame.depth + 1;
             let link = ParentLink {
                 frame: Arc::clone(&frame),
@@ -1324,6 +1329,97 @@ fn finish_node(
                 frame = parent_frame;
                 hop += 1;
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::SpecializeOptions;
+    use rdg_graph::{Module, ModuleBuilder};
+    use rdg_tensor::DType;
+    use std::sync::Weak;
+    use std::time::{Duration, Instant};
+
+    /// Descent levels: feeds range over `[0, 2^LEVELS)`.
+    const LEVELS: usize = 14;
+
+    /// Binary descent: level `k` tests bit `LEVELS-1-k` of the running
+    /// value and recurses into level `k+1` through the then or the else
+    /// branch, so each feed value takes its own 28-site path. The base
+    /// level returns the fully reduced value, 0.
+    fn descent_module() -> Module {
+        let mut mb = ModuleBuilder::new();
+        let handles: Vec<_> = (0..=LEVELS)
+            .map(|k| mb.declare_subgraph(format!("level{k}"), &[DType::I32], &[DType::I32]))
+            .collect();
+        mb.define_subgraph(&handles[LEVELS], |b| {
+            let n = b.input(0)?;
+            Ok(vec![b.identity(n)?])
+        })
+        .expect("define base");
+        for k in (0..LEVELS).rev() {
+            let next = handles[k + 1].clone();
+            mb.define_subgraph(&handles[k], |b| {
+                let n = b.input(0)?;
+                let pow = 1i32 << (LEVELS - 1 - k);
+                let thresh = b.const_i32(pow - 1);
+                let p = b.igt(n, thresh)?;
+                let out = b.cond1(
+                    p,
+                    DType::I32,
+                    |b| {
+                        let pw = b.const_i32(pow);
+                        let r = b.isub(n, pw)?;
+                        Ok(b.invoke(&next, &[r])?[0])
+                    },
+                    |b| Ok(b.invoke(&next, &[n])?[0]),
+                )?;
+                Ok(vec![out])
+            })
+            .expect("define level");
+        }
+        let n = mb.main_input(DType::I32);
+        let out = mb.invoke(&handles[0], &[n]).expect("invoke root")[0];
+        mb.set_outputs(&[out]).expect("outputs");
+        mb.finish().expect("finish")
+    }
+
+    /// Every run's path table lives in its `RunContext`, so once the runs
+    /// are joined and their frames torn down, no path of any run survives:
+    /// 10 000 varied-shape runs leave nothing behind.
+    #[test]
+    fn run_contexts_die_after_10k_varied_shape_runs() {
+        let exec = Executor::with_threads(2);
+        // Specialization off: every run walks real call sites on the
+        // general frame path.
+        let plan =
+            ModulePlan::with_options(Arc::new(descent_module()), SpecializeOptions::disabled())
+                .expect("plan");
+        let params = Arc::new(ParamStore::from_module(&plan.module));
+        let mut runs: Vec<Weak<RunContext>> = Vec::with_capacity(10_000);
+        for i in 0..10_000u64 {
+            // Knuth-hash the run index so consecutive runs take unrelated
+            // branch sequences.
+            let n = (i.wrapping_mul(2_654_435_761) % (1 << LEVELS)) as i32;
+            let handle = exec
+                .submit(&plan, &params, vec![Tensor::scalar_i32(n)], None, None)
+                .expect("submit");
+            runs.push(Arc::downgrade(&handle.ctx));
+            let out = handle.wait().expect("run");
+            assert_eq!(out[0].i32s().expect("i32 output")[0], 0);
+        }
+        // A run delivers its result before its last frame is released, so
+        // give the workers a bounded moment to finish tearing down.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while runs.iter().any(|w| w.strong_count() > 0) {
+            assert!(
+                Instant::now() < deadline,
+                "{} of 10 000 run contexts (and their path tables) still alive",
+                runs.iter().filter(|w| w.strong_count() > 0).count()
+            );
+            std::thread::sleep(Duration::from_millis(1));
         }
     }
 }

@@ -24,8 +24,9 @@
 //!   spawn-time-resolvable prelude), precompiled once per module and reused
 //!   by every frame.
 //! * [`path::PathKey`] — hash-consed invocation paths (call-site chains),
-//!   the keys of the backprop cache; child-key creation is an interner
-//!   lookup and equality is a pointer compare.
+//!   the keys of the backprop cache. Each run interns its paths in its own
+//!   [`path::Interner`], so child-key creation is a table lookup and
+//!   equality within a run is a pointer compare.
 //! * [`cache::BackpropCache`] — the concurrent hash table that carries
 //!   forward activations to the mirrored backward frames (paper §5,
 //!   Figure 6), sharded for concurrent insert/lookup.
@@ -105,7 +106,7 @@ pub use cache::{BackpropCache, CacheKey, ShardedMap};
 pub use error::ExecError;
 pub use executor::{Executor, RunHandle};
 pub use params::{GradStore, ParamStore};
-pub use path::PathKey;
+pub use path::{Interner, PathKey};
 pub use plan::specialize::{Provenance, SpecializeOptions};
 pub use plan::{ExecutionPlan, ModulePlan, SpecKey, SpecStats};
 pub use queue::SchedulerKind;

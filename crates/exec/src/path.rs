@@ -11,49 +11,40 @@
 //!
 //! # Hash-consing
 //!
-//! Path nodes are **interned** in a process-wide table keyed by
-//! `(parent pointer, call site)`. [`PathKey::child`] is therefore a sharded
-//! table lookup: extending the same parent with the same site twice returns
-//! the *same* `Arc` both times, so
+//! Path nodes are **interned** in an [`Interner`] keyed by `(parent
+//! pointer, call site)`, and each run owns one: the executor's
+//! `RunContext` creates it empty at submit and drops it once the run's
+//! handle and last frame are gone. [`Interner::child`] is therefore a
+//! table lookup: extending the same parent with the same site twice
+//! returns the *same* `Arc` both times, so
 //!
-//! * structurally equal paths are **pointer-equal** — equality and backprop
-//!   cache probes never walk the chain;
-//! * the steady state of a training loop (same module, same recursion
-//!   shape, step after step) allocates **zero** path nodes — child-key
-//!   creation is a lookup, not an allocation + rehash;
-//! * deep chains are never dropped recursively (the interner keeps one
-//!   strong reference to every node it ever produced), so a 20 000-deep
-//!   tail recursion cannot overflow the stack on teardown.
+//! * within a run, structurally equal paths are **pointer-equal** — a
+//!   backward frame's cache probe matches its forward twin's key without
+//!   walking the chain;
+//! * re-deriving a path the run has already seen allocates nothing —
+//!   child-key creation is a lookup, not an allocation + rehash.
 //!
-//! Left alone, the table grows with the number of **distinct paths ever
-//! observed, across all runs and all modules** — a trie of every call-site
-//! chain executed so far, at roughly a hundred bytes per node. Re-running
-//! the same shapes (a training loop over a fixed module, the steady state
-//! this design optimizes) adds nothing, but workloads whose recursion
-//! shape varies per input (e.g. a treebank where every tree is a new
-//! shape) keep adding the union of their paths.
-//! [`PathKey::flush_interner`] reclaims that growth at quiescent points
-//! (between epochs, at serve shutdown): it evicts every node no live key
-//! references and cascades up each retired chain **iteratively** on a
-//! worklist, so flushing a 20 000-deep retired chain never recurses. Keys
-//! still held anywhere outside the interner — and all their ancestors —
-//! are left untouched, and the structural-equality backstop in
-//! [`PartialEq`] keeps any key that survives a flush comparable with
-//! freshly re-interned twins. [`PathKey::interner_len`] exposes the
-//! current size for diagnostics, tests, and leak monitoring.
+//! Uniqueness only has to hold among the frames of one execution, so the
+//! table holds exactly one run's paths and is bounded by that run. Keys
+//! from different tables are still comparable: the structural backstop in
+//! [`PartialEq`] walks both chains when the pointers differ. Dropping a
+//! key (or a whole table) never recurses down the parent spine — a node's
+//! `Drop` unlinks exclusively owned ancestors iteratively, so a
+//! 20 000-deep tail recursion cannot overflow the stack on teardown.
 //!
 //! # Example
 //!
 //! ```
-//! use rdg_exec::PathKey;
+//! use rdg_exec::{Interner, PathKey};
 //! use rdg_graph::CallSiteId;
 //!
-//! let fwd = PathKey::root().child(CallSiteId(3)).child(CallSiteId(7));
+//! let paths = Interner::new();
+//! let fwd = paths.child(&paths.child(&PathKey::root(), CallSiteId(3)), CallSiteId(7));
 //! // The backward pass rebuilds the path from scratch…
-//! let bwd = PathKey::root().child(CallSiteId(3)).child(CallSiteId(7));
+//! let bwd = paths.child(&paths.child(&PathKey::root(), CallSiteId(3)), CallSiteId(7));
 //! // …and gets the identical interned node back.
+//! assert!(fwd.ptr_eq(&bwd));
 //! assert_eq!(fwd, bwd);
-//! assert_eq!(fwd.hash_value(), bwd.hash_value());
 //! assert_eq!(fwd.sites(), vec![CallSiteId(3), CallSiteId(7)]);
 //! ```
 
@@ -61,20 +52,7 @@ use parking_lot::Mutex;
 use rdg_graph::CallSiteId;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
-use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Arc, OnceLock};
-
-/// Quiescent points counted since the last epoch flush (see
-/// [`PathKey::note_run_quiescent`]).
-static QUIESCENT_POINTS: AtomicU32 = AtomicU32::new(0);
-
-/// Flush the interner after this many quiescent points regardless of size.
-const FLUSH_EVERY_QUIESCENT: u32 = 64;
-/// Minimum quiescent points before a size-triggered flush (avoids
-/// thrashing a workload that legitimately holds a big live path set).
-const FLUSH_MIN_QUIESCENT: u32 = 8;
-/// Size-triggered flush threshold, in interned path nodes.
-const FLUSH_LEN_TRIGGER: usize = 4096;
+use std::sync::Arc;
 
 #[derive(Debug)]
 struct PathNode {
@@ -84,19 +62,34 @@ struct PathNode {
     len: u32,
 }
 
+impl Drop for PathNode {
+    fn drop(&mut self) {
+        // Unlink an exclusively owned ancestor chain iteratively; the
+        // default drop glue would recurse once per node and overflow the
+        // stack on deep recursion paths.
+        let mut parent = self.parent.0.take();
+        while let Some(node) = parent {
+            match Arc::into_inner(node) {
+                // Steal the grandparent first so dropping `inner` at the
+                // end of this iteration cannot recurse.
+                Some(mut inner) => parent = inner.parent.0.take(),
+                None => break, // other holders remain; they clean up later
+            }
+        }
+    }
+}
+
 /// An invocation path: the chain of call sites from the root frame.
 ///
-/// Cheap to clone (one `Arc` bump) and to extend (one interner lookup);
-/// structurally equal paths are pointer-equal (see the module docs), so
-/// equality is a pointer compare and hashing reads a precomputed value.
+/// Cheap to clone (one `Arc` bump) and to extend (one [`Interner`]
+/// lookup); structurally equal paths from one table are pointer-equal
+/// (see the module docs), so equality is usually a pointer compare and
+/// hashing reads a precomputed value.
 #[derive(Clone, Debug, Default)]
 pub struct PathKey(Option<Arc<PathNode>>);
 
 /// Identity for the root path's hash (FNV-1a offset basis).
 const ROOT_HASH: u64 = 0xcbf29ce484222325;
-
-/// Shard count for the interner (must be a power of two).
-const N_SHARDS: usize = 64;
 
 /// Interner key: the parent node's address (0 for the root) plus the site.
 type InternKey = (usize, u32);
@@ -127,44 +120,26 @@ impl Hasher for FxLiteHasher {
     }
 }
 
-/// A sharded hash-consing table of path nodes, keyed by `(parent pointer,
-/// call site)`. [`PathKey::child`] and [`PathKey::flush_interner`] use one
-/// process-global instance; a private instance interns and flushes the
-/// same way without sharing counts with anything else.
-pub(crate) struct Interner {
-    shards: Vec<Mutex<HashMap<InternKey, PathKey, BuildHasherDefault<FxLiteHasher>>>>,
-}
-
-fn interner() -> &'static Interner {
-    static INTERNER: OnceLock<Interner> = OnceLock::new();
-    INTERNER.get_or_init(Interner::new)
+/// A hash-consing table of path nodes, keyed by `(parent pointer, call
+/// site)`. Each executor run owns one (see the module docs); it holds a
+/// strong reference to every node it produced, so the parent addresses in
+/// its keys stay valid for the table's whole life.
+#[derive(Default)]
+pub struct Interner {
+    map: Mutex<HashMap<InternKey, PathKey, BuildHasherDefault<FxLiteHasher>>>,
 }
 
 impl Interner {
-    pub(crate) fn new() -> Self {
-        Interner {
-            shards: (0..N_SHARDS)
-                .map(|_| Mutex::new(HashMap::default()))
-                .collect(),
-        }
-    }
-
-    fn shard(
-        &self,
-        key: &InternKey,
-    ) -> &Mutex<HashMap<InternKey, PathKey, BuildHasherDefault<FxLiteHasher>>> {
-        // Pointers are aligned: shift off the low zero bits before mixing
-        // so consecutive allocations land in different shards.
-        let mixed = ((key.0 as u64 >> 4) ^ (key.1 as u64).wrapping_mul(0x9e3779b97f4a7c15))
-            .wrapping_mul(0xff51afd7ed558ccd);
-        &self.shards[(mixed >> 32) as usize & (N_SHARDS - 1)]
+    /// An empty table.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// `parent` extended with `site`: the interned node when this table
     /// already holds one, a fresh node (inserted) otherwise.
-    pub(crate) fn child(&self, parent: &PathKey, site: CallSiteId) -> PathKey {
+    pub fn child(&self, parent: &PathKey, site: CallSiteId) -> PathKey {
         let key: InternKey = (parent.addr(), site.0);
-        let mut map = self.shard(&key).lock();
+        let mut map = self.map.lock();
         if let Some(k) = map.get(&key) {
             return k.clone();
         }
@@ -184,64 +159,14 @@ impl Interner {
         k
     }
 
-    /// Path nodes held (locks every shard).
-    pub(crate) fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
+    /// Path nodes held.
+    pub fn len(&self) -> usize {
+        self.map.lock().len()
     }
 
-    /// Evicts retired nodes and returns how many were reclaimed; see
-    /// [`PathKey::flush_interner`].
-    pub(crate) fn flush(&self) -> usize {
-        let mut worklist: Vec<Arc<PathNode>> = Vec::new();
-        // Phase 1: sweep each shard for nodes only the interner still
-        // holds (strong count 1: the map's own clone). An interned child
-        // pins its parent through `PathNode::parent`, so this set is
-        // exactly the retired leaves.
-        for shard in &self.shards {
-            let mut map = shard.lock();
-            let dead: Vec<InternKey> = map
-                .iter()
-                .filter(|(_, v)| v.0.as_ref().map_or(false, |a| Arc::strong_count(a) == 1))
-                .map(|(k, _)| *k)
-                .collect();
-            for k in dead {
-                if let Some(PathKey(Some(node))) = map.remove(&k) {
-                    worklist.push(node);
-                }
-            }
-        }
-        // Phase 2: tear down each retired node and cascade to its parent
-        // iteratively. Stealing the parent link before the node drops is
-        // what keeps deep chains off the call stack.
-        let mut flushed = 0usize;
-        while let Some(node) = worklist.pop() {
-            let Ok(mut inner) = Arc::try_unwrap(node) else {
-                // Lost a race to a concurrent re-reference; the clone we
-                // dropped leaves the node alive for its new holder.
-                continue;
-            };
-            flushed += 1;
-            let parent = std::mem::replace(&mut inner.parent, PathKey::root());
-            drop(inner);
-            if let Some(parent_arc) = parent.0 {
-                let key: InternKey = (parent_arc.parent.addr(), parent_arc.site.0);
-                let mut map = self.shard(&key).lock();
-                // Retire the parent only if the map still holds this very
-                // node and the only references left are the map's clone
-                // plus ours — i.e. we just dropped its last child.
-                let retired = matches!(
-                    map.get(&key),
-                    Some(PathKey(Some(e)))
-                        if Arc::ptr_eq(e, &parent_arc) && Arc::strong_count(&parent_arc) == 2
-                );
-                if retired {
-                    map.remove(&key);
-                    drop(map);
-                    worklist.push(parent_arc);
-                }
-            }
-        }
-        flushed
+    /// Returns `true` when the table holds no nodes.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 }
 
@@ -249,15 +174,6 @@ impl PathKey {
     /// The root path (the main graph's frame).
     pub fn root() -> Self {
         PathKey(None)
-    }
-
-    /// Extends this path with one call site.
-    ///
-    /// Hash-consed: extending the same parent with the same site returns
-    /// the same interned node, so this is a table lookup in the steady
-    /// state and allocates only the first time a path is ever seen.
-    pub fn child(&self, site: CallSiteId) -> Self {
-        interner().child(self, site)
     }
 
     /// Address of the interned node (0 for the root): this path's part of
@@ -293,60 +209,9 @@ impl PathKey {
         out
     }
 
-    /// Total number of path nodes held by the process-wide interner
-    /// (diagnostics; locks every shard).
-    pub fn interner_len() -> usize {
-        interner().len()
-    }
-
-    /// Flushes retired nodes from the process-wide interner, returning the
-    /// number of nodes reclaimed.
-    ///
-    /// A node is retired when nothing outside the interner references it:
-    /// no live [`PathKey`] held by a frame, cache, or caller, and no
-    /// interned child whose `parent` link pins it. Retired leaves are
-    /// evicted first; each eviction may retire its parent in turn, and
-    /// that cascade runs on an explicit worklist — never by recursive
-    /// `Drop` — so flushing arbitrarily deep retired chains is
-    /// stack-safe.
-    ///
-    /// Safe to call at any time: live keys (and every ancestor on their
-    /// spine) are never touched, and a key that races a flush simply
-    /// re-interns its path on next extension, with the structural
-    /// fallback in `PartialEq` keeping old and new nodes equal. Intended
-    /// for quiescent points — between training epochs or when a serving
-    /// session shuts down — where varied-shape workloads would otherwise
-    /// grow the table without bound.
-    pub fn flush_interner() -> usize {
-        interner().flush()
-    }
-
-    /// Notes that a run (or wave of runs) has fully completed — a
-    /// *quiescent point* where no frame holds a [`PathKey`] — and
-    /// periodically flushes the interner.
-    ///
-    /// Long-lived sessions doing bare `run`/`run_many` never pass a serve
-    /// shutdown, so without this hook every distinct recursion shape they
-    /// ever executed stays interned for the life of the process
-    /// (value-dependent `Cond` branching makes paths effectively
-    /// per-input, so varied workloads grow the table without bound). The
-    /// flush is epoch-scoped: it runs every `FLUSH_EVERY_QUIESCENT`
-    /// quiescent points, or sooner once the table exceeds
-    /// `FLUSH_LEN_TRIGGER` nodes, and reclaims only retired chains —
-    /// paths shared with in-flight runs survive untouched.
-    pub fn note_run_quiescent() {
-        let n = QUIESCENT_POINTS.fetch_add(1, Ordering::Relaxed) + 1;
-        if n >= FLUSH_EVERY_QUIESCENT
-            || (n >= FLUSH_MIN_QUIESCENT && Self::interner_len() > FLUSH_LEN_TRIGGER)
-        {
-            QUIESCENT_POINTS.store(0, Ordering::Relaxed);
-            Self::flush_interner();
-        }
-    }
-
     /// Returns `true` when `self` and `other` share the same interned node
-    /// (or are both the root). Because every non-root key is produced by
-    /// [`PathKey::child`], this coincides with structural equality.
+    /// (or are both the root). For keys from one [`Interner`] this
+    /// coincides with structural equality.
     pub fn ptr_eq(&self, other: &Self) -> bool {
         match (&self.0, &other.0) {
             (None, None) => true,
@@ -358,9 +223,8 @@ impl PathKey {
 
 impl PartialEq for PathKey {
     fn eq(&self, other: &Self) -> bool {
-        // Interning makes pointer equality complete, but keep the
-        // structural walk as a correctness backstop so `Eq` never depends
-        // on every key having gone through the interner.
+        // Interning makes pointer equality complete within one table; the
+        // structural walk is the backstop for keys from different tables.
         if self.ptr_eq(other) {
             return true;
         }
@@ -409,6 +273,13 @@ impl std::fmt::Display for PathKey {
 mod tests {
     use super::*;
 
+    /// `sites` interned root-to-leaf into `paths`.
+    fn build(paths: &Interner, sites: impl IntoIterator<Item = u32>) -> PathKey {
+        sites
+            .into_iter()
+            .fold(PathKey::root(), |p, s| paths.child(&p, CallSiteId(s)))
+    }
+
     #[test]
     fn root_is_empty() {
         let r = PathKey::root();
@@ -419,14 +290,15 @@ mod tests {
 
     #[test]
     fn children_extend_and_differ() {
+        let it = Interner::new();
         let r = PathKey::root();
-        let a = r.child(CallSiteId(1));
-        let b = r.child(CallSiteId(2));
+        let a = it.child(&r, CallSiteId(1));
+        let b = it.child(&r, CallSiteId(2));
         assert_eq!(a.len(), 1);
         assert_ne!(a, b);
         assert_ne!(a, r);
-        let aa = a.child(CallSiteId(2));
-        let bb = b.child(CallSiteId(1));
+        let aa = it.child(&a, CallSiteId(2));
+        let bb = it.child(&b, CallSiteId(1));
         // Different orderings of the same sites must differ.
         assert_ne!(aa, bb);
     }
@@ -434,11 +306,15 @@ mod tests {
     #[test]
     fn reconstructed_paths_are_equal() {
         // The backward pass rebuilds paths from scratch; equality must hold
-        // structurally, not just by pointer.
-        let fwd = PathKey::root().child(CallSiteId(3)).child(CallSiteId(7));
-        let bwd = PathKey::root().child(CallSiteId(3)).child(CallSiteId(7));
-        assert_eq!(fwd, bwd);
-        assert_eq!(fwd.hash_value(), bwd.hash_value());
+        // structurally, not just by pointer — including for the same path
+        // built in two separate tables, where only the structural backstop
+        // in `PartialEq` can match them.
+        let it = Interner::new();
+        let other = Interner::new();
+        let fwd = build(&it, [3, 7]);
+        let bwd = build(&it, [3, 7]);
+        let foreign = build(&other, [3, 7]);
+        assert!(!foreign.ptr_eq(&fwd), "separate tables intern separately");
         use std::collections::hash_map::DefaultHasher;
         use std::hash::{Hash, Hasher};
         let h = |p: &PathKey| {
@@ -446,21 +322,24 @@ mod tests {
             p.hash(&mut s);
             s.finish()
         };
-        assert_eq!(h(&fwd), h(&bwd));
+        for k in [&bwd, &foreign] {
+            assert_eq!(&fwd, k);
+            assert_eq!(fwd.hash_value(), k.hash_value());
+            assert_eq!(h(&fwd), h(k));
+        }
+        assert_ne!(foreign, build(&other, [3, 8]));
     }
 
     #[test]
     fn interning_makes_paths_pointer_equal() {
-        // A private table: no other test's interning or flushing can move
-        // its length between the two measurements below.
         let it = Interner::new();
-        let path = || it.child(&it.child(&PathKey::root(), CallSiteId(41)), CallSiteId(42));
+        let path = || build(&it, [41, 42]);
         let a = path();
         let b = path();
         assert!(a.ptr_eq(&b), "interned twins must share the node");
         // Clones stay pointer-equal, of course.
         assert!(a.clone().ptr_eq(&b));
-        // And re-creating the key does not grow the interner.
+        // And re-creating the key does not grow the table.
         let before = it.len();
         assert_eq!(before, 2);
         let _c = path();
@@ -469,10 +348,7 @@ mod tests {
 
     #[test]
     fn sites_round_trip() {
-        let p = PathKey::root()
-            .child(CallSiteId(1))
-            .child(CallSiteId(5))
-            .child(CallSiteId(9));
+        let p = build(&Interner::new(), [1, 5, 9]);
         assert_eq!(p.sites(), vec![CallSiteId(1), CallSiteId(5), CallSiteId(9)]);
         assert_eq!(p.to_string(), "/1/5/9/");
     }
@@ -482,35 +358,58 @@ mod tests {
         // Build many distinct deep paths and check pairwise inequality via a
         // set (hash collisions would surface as set collisions + eq failure).
         use std::collections::HashSet;
+        let it = Interner::new();
         let mut set = HashSet::new();
         for i in 0..100u32 {
-            let mut p = PathKey::root();
-            for j in 0..20u32 {
-                p = p.child(CallSiteId(i * 31 + j));
-            }
-            assert!(set.insert(p));
+            assert!(set.insert(build(&it, (0..20u32).map(|j| i * 31 + j))));
         }
         assert_eq!(set.len(), 100);
     }
 
     #[test]
     fn concurrent_interning_is_consistent() {
-        // Many threads racing to intern the same chain must all observe
-        // pointer-equal keys.
-        let handles: Vec<_> = (0..8)
-            .map(|_| {
-                std::thread::spawn(|| {
-                    let mut p = PathKey::root();
-                    for j in 0..64u32 {
-                        p = p.child(CallSiteId(7_000_000 + j));
-                    }
-                    p
-                })
-            })
-            .collect();
-        let keys: Vec<PathKey> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        // Many threads racing to intern the same chain in one table must
+        // all observe pointer-equal keys.
+        let it = Interner::new();
+        let keys: Vec<PathKey> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..8)
+                .map(|_| s.spawn(|| build(&it, 7_000_000..7_000_064)))
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
         for k in &keys[1..] {
             assert!(keys[0].ptr_eq(k));
         }
+    }
+
+    #[test]
+    fn deep_chain_drops_without_recursion() {
+        // 20 000 nodes, the depth the executor's tail-recursion test
+        // reaches. Dropping the table first leaves the leaf key as the only
+        // holder of the whole spine; default drop glue would then recurse
+        // once per node and overflow the stack.
+        const DEPTH: u32 = 20_000;
+        let it = Interner::new();
+        let leaf = build(&it, 0..DEPTH);
+        assert_eq!(leaf.len(), DEPTH);
+        assert_eq!(it.len(), DEPTH as usize);
+        drop(it);
+        drop(leaf);
+    }
+
+    #[test]
+    fn key_outliving_its_table_keeps_its_spine() {
+        let it = Interner::new();
+        let prefix = build(&it, [60, 61]);
+        let live = it.child(&prefix, CallSiteId(62));
+        let _sibling = build(&it, [60, 61, 70, 71]);
+        drop(prefix);
+        drop(it);
+        assert_eq!(live.len(), 3);
+        assert_eq!(
+            live.sites(),
+            vec![CallSiteId(60), CallSiteId(61), CallSiteId(62)]
+        );
+        assert_eq!(live, build(&Interner::new(), [60, 61, 62]));
     }
 }

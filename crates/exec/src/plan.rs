@@ -304,11 +304,11 @@ impl ModulePlan {
     /// single frame spawns; the inferred abstract shapes are recorded on
     /// each [`ExecutionPlan`] for downstream specialization.
     ///
-    /// Plan-time specialization runs with the environment-default options
-    /// ([`SpecializeOptions::from_env`], i.e. the `RDG_SPECIALIZE` toggle);
-    /// use [`ModulePlan::with_options`] to pin behavior programmatically.
+    /// Plan-time specialization runs with [`SpecializeOptions::default`]
+    /// (both passes on); use [`ModulePlan::with_options`] to pin other
+    /// behavior.
     pub fn new(module: Arc<Module>) -> rdg_graph::Result<Arc<Self>> {
-        Self::with_options(module, SpecializeOptions::from_env())
+        Self::with_options(module, SpecializeOptions::default())
     }
 
     /// Like [`ModulePlan::new`], with explicit specializer options.

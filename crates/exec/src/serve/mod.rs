@@ -902,26 +902,18 @@ fn dispatcher_loop(
     plan: &Arc<ModulePlan>,
     params: &Arc<ParamStore>,
 ) {
-    // Flush the path interner every this many waves: varied-shape request
-    // streams would otherwise grow it until shutdown.
-    const FLUSH_EVERY_WAVES: u64 = 64;
     loop {
-        let (wave, popped_ns, flush_due) = {
+        let (wave, popped_ns) = {
             let mut st = shared.state.lock();
             loop {
                 let now = shared.now_ns();
                 if let Some(wave) = st.next_wave(now) {
-                    break (wave, now, st.waves().is_multiple_of(FLUSH_EVERY_WAVES));
+                    break (wave, now);
                 }
                 if !st.is_open() {
                     if shared.config.cross_request_batching {
                         exec.release_cross_request_fusion();
                     }
-                    // Every request this session interned call-site paths;
-                    // varied-shape workloads never revisit them. Reclaim
-                    // the retired chains so long-lived services don't grow
-                    // the interner across sessions.
-                    crate::path::PathKey::flush_interner();
                     return;
                 }
                 shared.not_empty.wait(&mut st);
@@ -1046,13 +1038,6 @@ fn dispatcher_loop(
             .state
             .lock()
             .observe_wave(wave_len, last_done_ns.saturating_sub(dispatched_ns));
-        // Epoch flush: retire interned path chains whose runs have all
-        // completed. Without this, only shutdown reclaims them, and a
-        // long-lived serve loop with varied-shape traffic grows the
-        // process-global interner without bound.
-        if flush_due {
-            crate::path::PathKey::flush_interner();
-        }
     }
 }
 

@@ -97,9 +97,9 @@ impl Session {
     }
 
     /// Like [`Session::new`], but with explicit plan-specializer options
-    /// instead of the `RDG_SPECIALIZE` environment default — tests and
+    /// instead of [`crate::SpecializeOptions::default`] — tests and
     /// benches use this to pin the general path (A) or the specialized
-    /// path (B) regardless of the environment.
+    /// path (B).
     pub fn with_options(
         exec: Arc<Executor>,
         module: Module,
@@ -231,9 +231,7 @@ impl Session {
     /// ([`ModulePlan::resolve_for_feeds`]): a hot feed signature executes
     /// its promoted flat plan, everything else takes the general frame
     /// machinery. Completed general-path runs feed their spawned-frame
-    /// count back into the shape profile, and each run marks a
-    /// path-interner quiescent point (see
-    /// [`crate::PathKey::note_run_quiescent`]).
+    /// count back into the shape profile.
     pub fn run(&self, feeds: Vec<Tensor>) -> Result<Vec<Tensor>, ExecError> {
         let (plan, key) = self.plan.resolve_for_feeds(&feeds);
         let handle = self.exec.submit(&plan, &self.params, feeds, None, None)?;
@@ -247,7 +245,6 @@ impl Session {
                     .load(std::sync::atomic::Ordering::Relaxed),
             );
         }
-        crate::PathKey::note_run_quiescent();
         out
     }
 
@@ -279,7 +276,7 @@ impl Session {
                     .map(|h| (h, key))
             })
             .collect();
-        let out = handles
+        handles
             .into_iter()
             .map(|h| {
                 h.and_then(|(handle, key)| {
@@ -296,9 +293,7 @@ impl Session {
                     r
                 })
             })
-            .collect();
-        crate::PathKey::note_run_quiescent();
-        out
+            .collect()
     }
 
     /// Opens an admission-controlled serving loop on this session with the
@@ -360,9 +355,7 @@ impl Session {
     pub fn run_training(&self, feeds: Vec<Tensor>) -> Result<Vec<Tensor>, ExecError> {
         let _step = self.begin_training_step()?;
         self.grads.clear();
-        let out = self.submit_training(feeds)?.wait();
-        crate::PathKey::note_run_quiescent();
-        out
+        self.submit_training(feeds)?.wait()
     }
 
     /// Trains a minibatch: all instances launch as concurrent root frames,
@@ -399,7 +392,6 @@ impl Session {
             .into_iter()
             .map(|h| h.and_then(RunHandle::wait))
             .collect();
-        crate::PathKey::note_run_quiescent();
         results.into_iter().collect()
     }
 }

@@ -29,7 +29,7 @@ use crate::cache::{BackpropCache, CacheKey};
 use crate::error::ExecError;
 use crate::kernel::{self, KernelCtx};
 use crate::params::{GradStore, ParamStore};
-use crate::path::PathKey;
+use crate::path::{Interner, PathKey};
 use crate::plan::ModulePlan;
 use crate::stats::ExecStats;
 use rdg_graph::{GraphRef, NodeId, OpKind, PortRef};
@@ -193,6 +193,8 @@ impl SimExecutor {
     ) -> Result<SimResult, ExecError> {
         let module = &plan.module;
         let stats = ExecStats::new();
+        // This run's path table (the executor keeps one per `RunContext`).
+        let paths = Interner::new();
         let mut frames: Vec<SimFrame> = Vec::new();
         // Ready queue of (frame, node) with the virtual time it became ready.
         let mut ready: VecDeque<(usize, NodeId, f64)> = VecDeque::new();
@@ -295,7 +297,7 @@ impl SimExecutor {
                     let t_done = start + self.cost.frame_ns;
                     total_work += self.cost.frame_ns;
                     workers.push(Reverse(FloatOrd(t_done)));
-                    let path = frames[fidx].path.child(site);
+                    let path = paths.child(&frames[fidx].path, site);
                     let depth = frames[fidx].depth + 1;
                     spawn(
                         &mut frames,
@@ -332,7 +334,7 @@ impl SimExecutor {
                     } else {
                         (sub_else, site_else, else_args)
                     };
-                    let path = frames[fidx].path.child(site);
+                    let path = paths.child(&frames[fidx].path, site);
                     let depth = frames[fidx].depth + 1;
                     spawn(
                         &mut frames,
