@@ -11,8 +11,6 @@
 //! * `recursion/fib/{12,16}` — a fib-shaped doubly-recursive module: frame
 //!   fan-out, Cond branches, and deep PathKey reuse, the shape the paper's
 //!   recursive models actually execute.
-//! * `scheduler/{fifo,depth_priority}` — scheduling-policy ablation on the
-//!   same fib shape.
 //! * `specialize/{invoke_chain/1000,fib/16}` — the same workloads through
 //!   the plan specializer (inlining + hot-shape unrolling): the B side of
 //!   the PR 10 A/B. The `dispatch`/`recursion` groups above are pinned to
@@ -140,26 +138,6 @@ fn recursion_bench(c: &mut Criterion) {
     g.finish();
 }
 
-fn scheduler_bench(c: &mut Criterion) {
-    // FIFO (the paper's design) vs depth-priority (its §4.1.2 future-work
-    // idea) on a parallel recursion.
-    let mut g = c.benchmark_group("scheduler");
-    g.sample_size(10);
-    let module = fib_module(13);
-    for (name, kind) in [
-        ("fifo", SchedulerKind::Fifo),
-        ("depth_priority", SchedulerKind::DepthPriority),
-    ] {
-        let exec = Executor::new(2, kind);
-        // Pinned general: a promoted flat plan has no frames to schedule,
-        // which would turn the policy ablation into a no-op.
-        let sess = Session::with_options(exec, module.clone(), SpecializeOptions::disabled())
-            .expect("session");
-        g.bench_function(name, |b| b.iter(|| sess.run(vec![]).expect("run")));
-    }
-    g.finish();
-}
-
 /// Appends one JSON line with the session's specializer counters to the
 /// `CRITERION_JSON` file (the same trajectory the criterion shim writes),
 /// so the A/B in `results/` carries hit-rate alongside the timings.
@@ -204,8 +182,8 @@ fn record_spec_stats(workload: &str, sess: &Session) {
 fn specialize_bench(c: &mut Criterion) {
     // The B side of the PR 10 A/B: identical workloads to
     // `dispatch/invoke_chain/1000` and `recursion/fib/16`, run through the
-    // plan specializer. Two warmup runs cross the `hot_after` promotion
-    // threshold before measurement, matching a warmed serving process.
+    // plan specializer. Two warmup runs cross the promotion threshold
+    // before measurement, matching a warmed serving process.
     let mut g = c.benchmark_group("specialize");
     g.sample_size(20);
     let exec = Executor::with_threads(2);
@@ -241,11 +219,5 @@ fn specialize_bench(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(
-    benches,
-    dispatch_bench,
-    recursion_bench,
-    scheduler_bench,
-    specialize_bench
-);
+criterion_group!(benches, dispatch_bench, recursion_bench, specialize_bench);
 criterion_main!(benches);

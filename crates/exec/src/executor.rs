@@ -57,7 +57,7 @@ use crate::kernel::{self, KernelCtx};
 use crate::params::{GradStore, ParamStore};
 use crate::path::{Interner, PathKey};
 use crate::plan::{ExecutionPlan, ModulePlan, PreludeValue};
-use crate::queue::{ReadyQueue, SchedulerKind};
+use crate::queue::ReadyQueue;
 use crate::stats::{ExecStats, StatsSnapshot};
 use parking_lot::Mutex;
 use rdg_graph::{GraphRef, NodeId, OpKind, PortRef};
@@ -389,10 +389,10 @@ pub struct Executor {
 }
 
 impl Executor {
-    /// Spawns `n_threads` execution threads with the given scheduler.
-    pub fn new(n_threads: usize, kind: SchedulerKind) -> Arc<Self> {
+    /// Spawns `n_threads` execution threads draining one FIFO ready queue.
+    pub fn with_threads(n_threads: usize) -> Arc<Self> {
         let n_threads = n_threads.max(1);
-        let queue = Arc::new(ReadyQueue::new(kind));
+        let queue = Arc::new(ReadyQueue::new());
         let stats = Arc::new(ExecStats::new());
         let fusion = Arc::new(FusionCtl {
             loops: AtomicUsize::new(0),
@@ -440,8 +440,7 @@ impl Executor {
                                         // never reach this and pay nothing.
                                         batch.reverse();
                                         for t2 in batch.drain(..) {
-                                            let d = t2.frame.depth as u64;
-                                            q.push(d, t2);
+                                            q.push(t2);
                                         }
                                     }
                                     next = execute_task(t);
@@ -491,11 +490,6 @@ impl Executor {
     /// Whether cross-request batch fusion is currently enabled.
     pub fn cross_request_fusion(&self) -> bool {
         self.fusion.loops.load(Ordering::Relaxed) > 0
-    }
-
-    /// FIFO executor with `n_threads` workers.
-    pub fn with_threads(n_threads: usize) -> Arc<Self> {
-        Self::new(n_threads, SchedulerKind::Fifo)
     }
 
     /// Number of execution threads.
@@ -572,7 +566,7 @@ impl Executor {
             paths: Interner::new(),
         });
         if let Some(t) = spawn_frame(&run, GraphRef::Main, PathKey::root(), feeds, None, 0) {
-            self.queue.push(0, t);
+            self.queue.push(t);
         }
         Ok(RunHandle {
             ctx: run,
@@ -670,7 +664,7 @@ fn spawn_frame(
             };
             match finish_node(run, Arc::clone(&frame), entry.node, vec![out], true) {
                 Some(t) if cont.is_none() => cont = Some(t),
-                Some(t) => run.queue.push(depth as u64, t),
+                Some(t) => run.queue.push(t),
                 None => {}
             }
         }
@@ -678,20 +672,16 @@ fn spawn_frame(
     // Everything else waits on the shared queue, pushed as one wave.
     match plan.queued_sources.len() {
         0 => {}
-        1 => run.queue.push(
-            depth as u64,
-            Task {
-                frame: Arc::clone(&frame),
-                node: plan.queued_sources[0],
-            },
-        ),
-        _ => run.queue.push_batch(
-            depth as u64,
-            plan.queued_sources.iter().map(|&s| Task {
+        1 => run.queue.push(Task {
+            frame: Arc::clone(&frame),
+            node: plan.queued_sources[0],
+        }),
+        _ => run
+            .queue
+            .push_batch(plan.queued_sources.iter().map(|&s| Task {
                 frame: Arc::clone(&frame),
                 node: s,
-            }),
-        ),
+            })),
     }
     cont
 }
@@ -1272,32 +1262,26 @@ fn finish_node(
                     node: first,
                 });
                 if !more_ready.is_empty() {
-                    run.queue.push_batch(
-                        frame.depth as u64,
-                        more_ready.drain(..).map(|c| Task {
-                            frame: Arc::clone(&frame),
-                            node: c,
-                        }),
-                    );
+                    run.queue.push_batch(more_ready.drain(..).map(|c| Task {
+                        frame: Arc::clone(&frame),
+                        node: c,
+                    }));
                 }
             } else if more_ready.is_empty() {
-                run.queue.push(
-                    frame.depth as u64,
-                    Task {
-                        frame: Arc::clone(&frame),
-                        node: first,
-                    },
-                );
+                run.queue.push(Task {
+                    frame: Arc::clone(&frame),
+                    node: first,
+                });
             } else {
-                run.queue.push_batch(
-                    frame.depth as u64,
-                    std::iter::once(first)
-                        .chain(more_ready.drain(..))
-                        .map(|c| Task {
-                            frame: Arc::clone(&frame),
-                            node: c,
-                        }),
-                );
+                run.queue
+                    .push_batch(
+                        std::iter::once(first)
+                            .chain(more_ready.drain(..))
+                            .map(|c| Task {
+                                frame: Arc::clone(&frame),
+                                node: c,
+                            }),
+                    );
             }
         }
         // Frame countdown.

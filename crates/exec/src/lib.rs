@@ -5,15 +5,16 @@
 //! "Improving the Expressiveness of Deep Learning Frameworks with
 //! Recursion" (§4–§5):
 //!
-//! * [`executor::Executor`] — master/worker execution: a global ready queue
-//!   ([`queue::ReadyQueue`]) feeding a pool of execution threads, with
-//!   dependency-count scheduling. `InvokeOp` execution spawns a child frame
-//!   whose operations join the *same* queue — recursive graphs run on the
-//!   unmodified machinery (paper §4.1.2). The invoke hot path is engineered
-//!   down to near plain-op cost: frame cores are pooled, `Input`/`Const`
-//!   nodes resolve while the frame spawns, and call/return edges continue
-//!   on the executing worker instead of paying queue round-trips (see the
-//!   [`executor`] module docs). The executor is a **multi-run runtime**:
+//! * [`executor::Executor`] — master/worker execution: one global FIFO
+//!   ready queue ([`queue::ReadyQueue`]) feeding a pool of execution
+//!   threads, with dependency-count scheduling. `InvokeOp` execution
+//!   spawns a child frame whose operations join the *same* queue —
+//!   recursive graphs run on the unmodified machinery (paper §4.1.2). The
+//!   invoke hot path is engineered down to near plain-op cost: frame
+//!   cores are pooled, `Input`/`Const` nodes resolve while the frame
+//!   spawns, and call/return edges continue on the executing worker
+//!   instead of paying queue round-trips (see the [`executor`] module
+//!   docs). The executor is a **multi-run runtime**:
 //!   [`executor::Executor::submit`] starts a run without blocking and
 //!   returns a [`executor::RunHandle`]; every run carries its own
 //!   [`executor::RunContext`] (feeds, result slot, grad/cache handles,
@@ -108,8 +109,7 @@ pub use executor::{Executor, RunHandle};
 pub use params::{GradStore, ParamStore};
 pub use path::{Interner, PathKey};
 pub use plan::specialize::{Provenance, SpecializeOptions};
-pub use plan::{ExecutionPlan, ModulePlan, SpecKey, SpecStats};
-pub use queue::SchedulerKind;
+pub use plan::{ExecutionPlan, ModulePlan, SpecStats};
 pub use serve::{
     AdmissionMode, ClassStats, LatencyPercentiles, Priority, ReplicaSnapshot, Request, ServeClient,
     ServeConfig, ServeError, ServeQueue, ServeStats, ServeTicket, WaveRecord, WaveSizing,

@@ -200,11 +200,6 @@ impl ExecutionPlan {
     }
 }
 
-/// A promoted-but-unobserved feed signature, handed back by
-/// [`ModulePlan::resolve_for_feeds`] so the caller can report the run's
-/// frame count via [`ModulePlan::observe_run`] once it completes.
-pub struct SpecKey(Vec<u8>);
-
 /// Counters describing what the plan-time specializer has done for one
 /// [`ModulePlan`] so far.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -229,18 +224,10 @@ pub struct SpecStats {
     pub residual_frames: u64,
 }
 
-/// One profiled feed signature: how often it recurred and (when a session
-/// observed a completed run) how many frames the general path spawned for
-/// it — the `PathKey`-derived signal that promotion is worth it.
-#[derive(Default)]
-struct ProfEntry {
-    count: u32,
-    max_frames: u64,
-}
-
 #[derive(Default)]
 struct SpecTable {
-    profile: HashMap<Vec<u8>, ProfEntry>,
+    /// How often each unpromoted feed signature has recurred.
+    profile: HashMap<Vec<u8>, u32>,
     promoted: HashMap<Vec<u8>, Arc<ModulePlan>>,
     blacklist: HashSet<Vec<u8>>,
 }
@@ -248,13 +235,17 @@ struct SpecTable {
 /// Feed signatures profiled before the table stops admitting new ones
 /// (bounds memory under adversarial feed streams).
 const PROFILE_CAP: usize = 4096;
+/// A feed signature is tried for promotion once it has been seen this many
+/// times.
+const HOT_AFTER: u32 = 2;
+/// Promoted (specialized) plans kept per module plan.
+const MAX_PROMOTED: usize = 8;
 
 /// Mutable specializer state attached to a plan built with specialization
 /// enabled. Promoted plans live and die with the owning [`ModulePlan`] —
 /// dropping the plan drops its whole specialized cache, so invalidation is
 /// keyed exactly like the plan itself.
 struct SpecState {
-    opts: SpecializeOptions,
     inlined: usize,
     unrollable: bool,
     table: Mutex<SpecTable>,
@@ -267,9 +258,8 @@ struct SpecState {
 }
 
 impl SpecState {
-    fn new(opts: SpecializeOptions, inlined: usize) -> Self {
+    fn new(inlined: usize) -> Self {
         SpecState {
-            opts,
             inlined,
             unrollable: false,
             table: Mutex::default(),
@@ -334,7 +324,7 @@ impl ModulePlan {
                             main,
                             subs,
                             provenance: Some(outcome.provenance),
-                            spec: Some(SpecState::new(opts.clone(), outcome.inlined)),
+                            spec: Some(SpecState::new(outcome.inlined)),
                         },
                         Err(_) => Self::build_plain(module)?,
                     }
@@ -349,7 +339,7 @@ impl ModulePlan {
             match &mut plan.spec {
                 Some(s) => s.unrollable = unrollable,
                 None => {
-                    let mut s = SpecState::new(opts, 0);
+                    let mut s = SpecState::new(0);
                     s.unrollable = unrollable;
                     plan.spec = Some(s);
                 }
@@ -410,51 +400,39 @@ impl ModulePlan {
 
     /// Resolves the plan to execute for one feed vector.
     ///
-    /// With unrolling enabled, a feed signature that has recurred
-    /// [`SpecializeOptions::hot_after`] times is promoted: the module is
-    /// expanded for that signature (`specialize::unroll_for_feeds`) and
-    /// the resulting flat plan is cached on this plan, so subsequent equal
-    /// signatures dispatch with zero call/return frames. Everything else —
-    /// cold signatures, blacklisted ones, failed expansions — takes the
-    /// general frame machinery (`self`).
+    /// With unrolling enabled, a feed signature seen for the second time is
+    /// promoted: the module is expanded for that signature
+    /// (`specialize::unroll_for_feeds`) and the resulting flat plan is
+    /// cached on this plan, so subsequent equal signatures dispatch with
+    /// zero call/return frames. Everything else — cold signatures,
+    /// blacklisted ones, expansions that fail or remove no call frame —
+    /// takes the general frame machinery (`self`).
     ///
-    /// The returned [`SpecKey`], when present, should be passed to
-    /// [`ModulePlan::observe_run`] with the completed run's spawned-frame
-    /// count; the profile uses it to skip signatures too small to pay for
-    /// specialization.
-    pub fn resolve_for_feeds(
-        self: &Arc<Self>,
-        feeds: &[Tensor],
-    ) -> (Arc<ModulePlan>, Option<SpecKey>) {
+    /// The decision depends only on the signature and how many times it
+    /// has been resolved, never on a run's outcome, so every entry point
+    /// (sequential, batched, serving) promotes alike.
+    pub fn resolve_for_feeds(self: &Arc<Self>, feeds: &[Tensor]) -> Arc<ModulePlan> {
         let Some(spec) = &self.spec else {
-            return (Arc::clone(self), None);
+            return Arc::clone(self);
         };
         if !spec.unrollable {
-            return (Arc::clone(self), None);
+            return Arc::clone(self);
         }
         let key = specialize::spec_key(feeds);
         let mut t = spec.table.lock().expect("spec table");
         if let Some(p) = t.promoted.get(&key) {
             spec.hits.fetch_add(1, Ordering::Relaxed);
-            return (Arc::clone(p), None);
+            return Arc::clone(p);
         }
-        if t.blacklist.contains(&key) {
+        if t.blacklist.contains(&key)
+            || (t.profile.len() >= PROFILE_CAP && !t.profile.contains_key(&key))
+        {
             spec.misses.fetch_add(1, Ordering::Relaxed);
-            return (Arc::clone(self), None);
+            return Arc::clone(self);
         }
-        if t.profile.len() >= PROFILE_CAP && !t.profile.contains_key(&key) {
-            spec.misses.fetch_add(1, Ordering::Relaxed);
-            return (Arc::clone(self), None);
-        }
-        let entry = t.profile.entry(key.clone()).or_default();
-        entry.count += 1;
-        let hot = entry.count >= spec.opts.hot_after
-            // A signature whose observed general-path runs spawn fewer than
-            // two frames has nothing to unroll; an unobserved one (serve
-            // path) is given the benefit of the doubt — the worthwhileness
-            // check below rejects frame-free expansions anyway.
-            && (entry.max_frames >= 2 || entry.max_frames == 0);
-        if hot && t.promoted.len() < spec.opts.max_promoted {
+        let count = t.profile.entry(key.clone()).or_default();
+        *count += 1;
+        if *count >= HOT_AFTER && t.promoted.len() < MAX_PROMOTED {
             // The expander recurses one Rust frame per plan-time call-chain
             // level (bounded, but deep × debug-size frames can exceed a
             // 2 MB caller stack), so the one-time expansion runs on a
@@ -463,7 +441,7 @@ impl ModulePlan {
                 std::thread::Builder::new()
                     .name("rdg-specialize".into())
                     .stack_size(16 * 1024 * 1024)
-                    .spawn_scoped(s, || specialize::unroll_for_feeds(self, feeds, &spec.opts))
+                    .spawn_scoped(s, || specialize::unroll_for_feeds(self, feeds))
                     .map_or(None, |h| match h.join() {
                         Ok(outcome) => outcome,
                         Err(p) => std::panic::resume_unwind(p),
@@ -492,28 +470,15 @@ impl ModulePlan {
                     spec.folded_ops.fetch_add(folded, Ordering::Relaxed);
                     spec.residual_frames.fetch_add(residuals, Ordering::Relaxed);
                     t.promoted.insert(key, Arc::clone(&plan));
-                    return (plan, None);
+                    return plan;
                 }
                 None => {
                     t.blacklist.insert(key);
-                    spec.misses.fetch_add(1, Ordering::Relaxed);
-                    return (Arc::clone(self), None);
                 }
             }
         }
         spec.misses.fetch_add(1, Ordering::Relaxed);
-        (Arc::clone(self), Some(SpecKey(key)))
-    }
-
-    /// Feeds a completed general-path run's spawned-frame count back into
-    /// the shape profile (see [`ModulePlan::resolve_for_feeds`]).
-    pub fn observe_run(&self, key: SpecKey, frames_spawned: u64) {
-        if let Some(spec) = &self.spec {
-            let mut t = spec.table.lock().expect("spec table");
-            if let Some(e) = t.profile.get_mut(&key.0) {
-                e.max_frames = e.max_frames.max(frames_spawned);
-            }
-        }
+        Arc::clone(self)
     }
 
     /// Specializer counters for this plan (all zero when specialization is

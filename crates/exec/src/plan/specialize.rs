@@ -62,6 +62,9 @@ const MAX_INLINE_NODES: usize = 32;
 const MAX_UNROLL_DEPTH: usize = 512;
 /// Abstract-interpretation step budget for one unroll attempt.
 const MAX_UNROLL_VISITED: usize = 500_000;
+/// Node budget for one unrolled main graph; an expansion that would exceed
+/// it is abandoned and the signature blacklisted.
+const MAX_NODES: usize = 50_000;
 /// `i32` feeds up to this many elements contribute their *values* to the
 /// specialization key (and are therefore foldable); larger tensors and all
 /// `f32` feeds contribute shape only.
@@ -82,13 +85,6 @@ pub struct SpecializeOptions {
     pub inline: bool,
     /// Promote recurring feed signatures to pre-expanded flat plans.
     pub unroll: bool,
-    /// Promote a feed signature after it has been seen this many times.
-    pub hot_after: u32,
-    /// Maximum number of promoted (specialized) plans kept per module plan.
-    pub max_promoted: usize,
-    /// Node budget for one unrolled main graph; an expansion that would
-    /// exceed it is abandoned and the signature blacklisted.
-    pub max_nodes: usize,
 }
 
 impl Default for SpecializeOptions {
@@ -96,9 +92,6 @@ impl Default for SpecializeOptions {
         SpecializeOptions {
             inline: true,
             unroll: true,
-            hot_after: 2,
-            max_promoted: 8,
-            max_nodes: 50_000,
         }
     }
 }
@@ -109,7 +102,6 @@ impl SpecializeOptions {
         SpecializeOptions {
             inline: false,
             unroll: false,
-            ..SpecializeOptions::default()
         }
     }
 
@@ -441,7 +433,6 @@ struct Abort;
 struct Expander<'a> {
     m: &'a Module,
     plan: &'a ModulePlan,
-    opts: &'a SpecializeOptions,
     out: Graph,
     prov: Vec<Option<(GraphRef, NodeId)>>,
     next_site: u32,
@@ -457,7 +448,7 @@ struct Expander<'a> {
 impl<'a> Expander<'a> {
     fn tick(&mut self) -> Result<(), Abort> {
         self.visited += 1;
-        if self.visited > MAX_UNROLL_VISITED || self.out.len() > self.opts.max_nodes {
+        if self.visited > MAX_UNROLL_VISITED || self.out.len() > MAX_NODES {
             return Err(Abort);
         }
         Ok(())
@@ -789,12 +780,9 @@ fn numel_of(abs: &AbsShape) -> Option<usize> {
 /// signature. Returns `None` when the expansion aborts (budget, depth, an
 /// unhandled pattern, or a kernel error during folding — the general path
 /// reproduces any such error at run time) or turns out not to eliminate a
-/// single call frame.
-pub(crate) fn unroll_for_feeds(
-    plan: &ModulePlan,
-    feeds: &[Tensor],
-    opts: &SpecializeOptions,
-) -> Option<UnrollOutcome> {
+/// single call frame. The rule reads only the expansion itself, so the
+/// same signature gets the same decision whichever entry point resolved it.
+pub(crate) fn unroll_for_feeds(plan: &ModulePlan, feeds: &[Tensor]) -> Option<UnrollOutcome> {
     let m = &plan.module;
     if m.main.input_nodes.len() != feeds.len() {
         return None;
@@ -810,7 +798,6 @@ pub(crate) fn unroll_for_feeds(
     let mut ex = Expander {
         m,
         plan,
-        opts,
         out: Graph::new(),
         prov: Vec::new(),
         next_site: m.n_sites,

@@ -1,74 +1,19 @@
 //! The worker ready queue (paper Figure 4).
 //!
-//! Two scheduling policies are provided:
+//! Operations enter one global FIFO ready queue as their dependencies
+//! resolve, and idle execution threads dequeue from the front.
 //!
-//! * [`SchedulerKind::Fifo`] — the paper's policy: operations enter a global
-//!   FIFO ready queue as their dependencies resolve and idle execution
-//!   threads dequeue from the front.
-//! * [`SchedulerKind::DepthPriority`] — the paper's §4.1.2 *future work*
-//!   suggestion, implemented here as an extension: deeper frames first, so
-//!   inner recursive work that unblocks many outer operations is preferred
-//!   when threads are scarce. An ablation bench compares the two.
-//!
-//! Both policies expose **batched** transfer: [`ReadyQueue::push_batch`]
-//! enqueues a whole wave of newly-ready operations under one lock
-//! acquisition, and [`ReadyQueue::pop_batch`] lets a worker drain several
-//! runnable operations per round-trip. On the executor's hot path this
-//! replaces one lock/notify cycle *per operation* with one per wave.
+//! Transfer is **batched**: [`ReadyQueue::push_batch`] enqueues a whole
+//! wave of newly-ready operations under one lock acquisition, and
+//! [`ReadyQueue::pop_batch`] lets a worker drain several runnable
+//! operations per round-trip. On the executor's hot path this replaces one
+//! lock/notify cycle *per operation* with one per wave.
 
 use parking_lot::{Condvar, Mutex};
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
-/// Scheduling policy selector.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum SchedulerKind {
-    /// Global FIFO ready queue (the paper's design).
-    #[default]
-    Fifo,
-    /// Deeper-frame-first priority queue (paper's future-work extension).
-    DepthPriority,
-}
-
-/// Items carried by the queue: a task payload with a scheduling priority.
-pub struct Prioritized<T> {
-    /// Larger = scheduled earlier under `DepthPriority`.
-    pub priority: u64,
-    /// Monotone sequence number: FIFO tie-break inside a priority class.
-    pub seq: u64,
-    /// The payload.
-    pub item: T,
-}
-
-impl<T> PartialEq for Prioritized<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.priority == other.priority && self.seq == other.seq
-    }
-}
-impl<T> Eq for Prioritized<T> {}
-impl<T> PartialOrd for Prioritized<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for Prioritized<T> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Max-heap on priority; FIFO (smaller seq first) within a class.
-        self.priority
-            .cmp(&other.priority)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-struct FifoState<T> {
+struct State<T> {
     queue: VecDeque<T>,
-    stop_tokens: usize,
-    /// Workers currently blocked in `wait` (for fair batch splitting).
-    waiting: usize,
-}
-
-struct PrioState<T> {
-    heap: BinaryHeap<Prioritized<T>>,
-    next_seq: u64,
     stop_tokens: usize,
     /// Workers currently blocked in `wait` (for fair batch splitting).
     waiting: usize,
@@ -88,150 +33,71 @@ fn fair_take(len: usize, waiting: usize, max: usize) -> usize {
     max.min(len).min(len.div_ceil(shares).max(1))
 }
 
-enum Impl<T> {
-    Fifo {
-        state: Mutex<FifoState<T>>,
-        cond: Condvar,
-    },
-    Prio {
-        heap: Mutex<PrioState<T>>,
-        cond: Condvar,
-    },
-}
-
-/// A multi-producer multi-consumer ready queue with blocking pop and
+/// A multi-producer multi-consumer FIFO ready queue with blocking pop and
 /// batched push/pop.
 pub struct ReadyQueue<T> {
-    inner: Impl<T>,
+    state: Mutex<State<T>>,
+    cond: Condvar,
+}
+
+impl<T> Default for ReadyQueue<T> {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl<T> ReadyQueue<T> {
-    /// Creates a queue with the given policy.
-    pub fn new(kind: SchedulerKind) -> Self {
-        let inner = match kind {
-            SchedulerKind::Fifo => Impl::Fifo {
-                state: Mutex::new(FifoState {
-                    queue: VecDeque::new(),
-                    stop_tokens: 0,
-                    waiting: 0,
-                }),
-                cond: Condvar::new(),
-            },
-            SchedulerKind::DepthPriority => Impl::Prio {
-                heap: Mutex::new(PrioState {
-                    heap: BinaryHeap::new(),
-                    next_seq: 0,
-                    stop_tokens: 0,
-                    waiting: 0,
-                }),
-                cond: Condvar::new(),
-            },
-        };
-        ReadyQueue { inner }
-    }
-
-    /// Enqueues a task with a scheduling priority (ignored under FIFO).
-    pub fn push(&self, priority: u64, item: T) {
-        match &self.inner {
-            Impl::Fifo { state, cond } => {
-                state.lock().queue.push_back(item);
-                cond.notify_one();
-            }
-            Impl::Prio { heap, cond } => {
-                let mut st = heap.lock();
-                let seq = st.next_seq;
-                st.next_seq += 1;
-                st.heap.push(Prioritized {
-                    priority,
-                    seq,
-                    item,
-                });
-                drop(st);
-                cond.notify_one();
-            }
+    /// Creates an empty queue.
+    pub fn new() -> Self {
+        ReadyQueue {
+            state: Mutex::new(State {
+                queue: VecDeque::new(),
+                stop_tokens: 0,
+                waiting: 0,
+            }),
+            cond: Condvar::new(),
         }
     }
 
-    /// Enqueues a wave of tasks of equal priority under **one** lock
-    /// acquisition, waking as many workers as there are new tasks.
-    pub fn push_batch(&self, priority: u64, items: impl IntoIterator<Item = T>) {
-        match &self.inner {
-            Impl::Fifo { state, cond } => {
-                let mut st = state.lock();
-                let before = st.queue.len();
-                st.queue.extend(items);
-                let pushed = st.queue.len() - before;
-                drop(st);
-                match pushed {
-                    0 => {}
-                    1 => {
-                        cond.notify_one();
-                    }
-                    _ => {
-                        cond.notify_all();
-                    }
-                }
+    /// Enqueues a task at the back.
+    pub fn push(&self, item: T) {
+        self.state.lock().queue.push_back(item);
+        self.cond.notify_one();
+    }
+
+    /// Enqueues a wave of tasks under **one** lock acquisition, waking as
+    /// many workers as there are new tasks.
+    pub fn push_batch(&self, items: impl IntoIterator<Item = T>) {
+        let mut st = self.state.lock();
+        let before = st.queue.len();
+        st.queue.extend(items);
+        let pushed = st.queue.len() - before;
+        drop(st);
+        match pushed {
+            0 => {}
+            1 => {
+                self.cond.notify_one();
             }
-            Impl::Prio { heap, cond } => {
-                let mut st = heap.lock();
-                let mut pushed = 0usize;
-                for item in items {
-                    let seq = st.next_seq;
-                    st.next_seq += 1;
-                    st.heap.push(Prioritized {
-                        priority,
-                        seq,
-                        item,
-                    });
-                    pushed += 1;
-                }
-                drop(st);
-                match pushed {
-                    0 => {}
-                    1 => {
-                        cond.notify_one();
-                    }
-                    _ => {
-                        cond.notify_all();
-                    }
-                }
+            _ => {
+                self.cond.notify_all();
             }
         }
     }
 
     /// Blocking pop; `None` means a stop token was consumed (worker exits).
     pub fn pop(&self) -> Option<T> {
-        match &self.inner {
-            Impl::Fifo { state, cond } => {
-                let mut st = state.lock();
-                loop {
-                    if let Some(t) = st.queue.pop_front() {
-                        return Some(t);
-                    }
-                    if st.stop_tokens > 0 {
-                        st.stop_tokens -= 1;
-                        return None;
-                    }
-                    st.waiting += 1;
-                    cond.wait(&mut st);
-                    st.waiting -= 1;
-                }
+        let mut st = self.state.lock();
+        loop {
+            if let Some(t) = st.queue.pop_front() {
+                return Some(t);
             }
-            Impl::Prio { heap, cond } => {
-                let mut st = heap.lock();
-                loop {
-                    if let Some(p) = st.heap.pop() {
-                        return Some(p.item);
-                    }
-                    if st.stop_tokens > 0 {
-                        st.stop_tokens -= 1;
-                        return None;
-                    }
-                    st.waiting += 1;
-                    cond.wait(&mut st);
-                    st.waiting -= 1;
-                }
+            if st.stop_tokens > 0 {
+                st.stop_tokens -= 1;
+                return None;
             }
+            st.waiting += 1;
+            self.cond.wait(&mut st);
+            st.waiting -= 1;
         }
     }
 
@@ -246,61 +112,27 @@ impl<T> ReadyQueue<T> {
     /// `false` return always means `buf` received nothing.
     pub fn pop_batch(&self, buf: &mut Vec<T>, max: usize) -> bool {
         let max = max.max(1);
-        match &self.inner {
-            Impl::Fifo { state, cond } => {
-                let mut st = state.lock();
-                loop {
-                    if !st.queue.is_empty() {
-                        let take = fair_take(st.queue.len(), st.waiting, max);
-                        buf.extend(st.queue.drain(..take));
-                        return true;
-                    }
-                    if st.stop_tokens > 0 {
-                        st.stop_tokens -= 1;
-                        return false;
-                    }
-                    st.waiting += 1;
-                    cond.wait(&mut st);
-                    st.waiting -= 1;
-                }
+        let mut st = self.state.lock();
+        loop {
+            if !st.queue.is_empty() {
+                let take = fair_take(st.queue.len(), st.waiting, max);
+                buf.extend(st.queue.drain(..take));
+                return true;
             }
-            Impl::Prio { heap, cond } => {
-                let mut st = heap.lock();
-                loop {
-                    if !st.heap.is_empty() {
-                        let take = fair_take(st.heap.len(), st.waiting, max);
-                        for _ in 0..take {
-                            match st.heap.pop() {
-                                Some(p) => buf.push(p.item),
-                                None => break,
-                            }
-                        }
-                        return true;
-                    }
-                    if st.stop_tokens > 0 {
-                        st.stop_tokens -= 1;
-                        return false;
-                    }
-                    st.waiting += 1;
-                    cond.wait(&mut st);
-                    st.waiting -= 1;
-                }
+            if st.stop_tokens > 0 {
+                st.stop_tokens -= 1;
+                return false;
             }
+            st.waiting += 1;
+            self.cond.wait(&mut st);
+            st.waiting -= 1;
         }
     }
 
     /// Sends `n` stop tokens, releasing `n` blocked workers.
     pub fn stop(&self, n: usize) {
-        match &self.inner {
-            Impl::Fifo { state, cond } => {
-                state.lock().stop_tokens += n;
-                cond.notify_all();
-            }
-            Impl::Prio { heap, cond } => {
-                heap.lock().stop_tokens += n;
-                cond.notify_all();
-            }
-        }
+        self.state.lock().stop_tokens += n;
+        self.cond.notify_all();
     }
 }
 
@@ -311,42 +143,20 @@ mod tests {
 
     #[test]
     fn fifo_preserves_order() {
-        let q = ReadyQueue::new(SchedulerKind::Fifo);
-        q.push(0, 1);
-        q.push(9, 2);
-        q.push(5, 3);
+        let q = ReadyQueue::new();
+        q.push(1);
+        q.push(2);
+        q.push(3);
         assert_eq!(q.pop(), Some(1));
         assert_eq!(q.pop(), Some(2));
         assert_eq!(q.pop(), Some(3));
     }
 
     #[test]
-    fn priority_pops_deepest_first() {
-        let q = ReadyQueue::new(SchedulerKind::DepthPriority);
-        q.push(1, "shallow");
-        q.push(5, "deep");
-        q.push(3, "mid");
-        assert_eq!(q.pop(), Some("deep"));
-        assert_eq!(q.pop(), Some("mid"));
-        assert_eq!(q.pop(), Some("shallow"));
-    }
-
-    #[test]
-    fn priority_is_fifo_within_class() {
-        let q = ReadyQueue::new(SchedulerKind::DepthPriority);
-        q.push(2, "a");
-        q.push(2, "b");
-        q.push(2, "c");
-        assert_eq!(q.pop(), Some("a"));
-        assert_eq!(q.pop(), Some("b"));
-        assert_eq!(q.pop(), Some("c"));
-    }
-
-    #[test]
     fn push_batch_preserves_fifo_order() {
-        let q = ReadyQueue::new(SchedulerKind::Fifo);
-        q.push(0, 1);
-        q.push_batch(0, [2, 3, 4]);
+        let q = ReadyQueue::new();
+        q.push(1);
+        q.push_batch([2, 3, 4]);
         for want in 1..=4 {
             assert_eq!(q.pop(), Some(want));
         }
@@ -366,30 +176,25 @@ mod tests {
 
     #[test]
     fn pop_batch_drains_fair_shares_in_order() {
-        for kind in [SchedulerKind::Fifo, SchedulerKind::DepthPriority] {
-            let q = ReadyQueue::new(kind);
-            q.push_batch(0, 0..10);
-            let mut buf = Vec::new();
-            assert!(q.pop_batch(&mut buf, 4));
-            assert!(
-                !buf.is_empty() && buf.len() <= 4,
-                "first batch is bounded by max, got {}",
-                buf.len()
-            );
-            while buf.len() < 10 {
-                assert!(q.pop_batch(&mut buf, 100));
-            }
-            assert_eq!(buf.len(), 10, "repeated pops drain everything");
-            if kind == SchedulerKind::Fifo {
-                assert_eq!(buf, (0..10).collect::<Vec<_>>());
-            }
+        let q = ReadyQueue::new();
+        q.push_batch(0..10);
+        let mut buf = Vec::new();
+        assert!(q.pop_batch(&mut buf, 4));
+        assert!(
+            !buf.is_empty() && buf.len() <= 4,
+            "first batch is bounded by max, got {}",
+            buf.len()
+        );
+        while buf.len() < 10 {
+            assert!(q.pop_batch(&mut buf, 100));
         }
+        assert_eq!(buf, (0..10).collect::<Vec<_>>());
     }
 
     #[test]
     fn pop_batch_consumes_stop_token_only_when_empty() {
-        let q = ReadyQueue::new(SchedulerKind::Fifo);
-        q.push(0, 7);
+        let q = ReadyQueue::new();
+        q.push(7);
         q.stop(1);
         let mut buf = Vec::new();
         assert!(q.pop_batch(&mut buf, 8), "work is served before the stop");
@@ -401,25 +206,23 @@ mod tests {
 
     #[test]
     fn stop_tokens_release_workers() {
-        for kind in [SchedulerKind::Fifo, SchedulerKind::DepthPriority] {
-            let q = Arc::new(ReadyQueue::<u32>::new(kind));
-            let q2 = Arc::clone(&q);
-            let h = std::thread::spawn(move || q2.pop());
-            std::thread::sleep(std::time::Duration::from_millis(20));
-            q.stop(1);
-            assert_eq!(h.join().unwrap(), None);
-        }
+        let q = Arc::new(ReadyQueue::<u32>::new());
+        let q2 = Arc::clone(&q);
+        let h = std::thread::spawn(move || q2.pop());
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        q.stop(1);
+        assert_eq!(h.join().unwrap(), None);
     }
 
     #[test]
     fn concurrent_producers_consumers_drain_everything() {
-        let q = Arc::new(ReadyQueue::<u64>::new(SchedulerKind::Fifo));
+        let q = Arc::new(ReadyQueue::<u64>::new());
         let mut producers = Vec::new();
         for t in 0..4u64 {
             let q = Arc::clone(&q);
             producers.push(std::thread::spawn(move || {
                 for i in 0..100 {
-                    q.push(0, t * 1000 + i);
+                    q.push(t * 1000 + i);
                 }
             }));
         }

@@ -965,14 +965,14 @@ fn dispatcher_loop(
                 // its promoted flat plan. Requests resolving to the same
                 // promoted plan share its `Arc`, so cross-request fusion
                 // (`GroupKey` is keyed by plan pointer) still groups them.
-                let (req_plan, spec_key) = plan.resolve_for_feeds(&feeds);
+                let req_plan = plan.resolve_for_feeds(&feeds);
                 let submitted = exec.submit(&req_plan, params, feeds, None, None);
-                (q, spec_key, submitted)
+                (q, submitted)
             })
             .collect();
         let wave_len = in_flight.len();
         let mut last_done_ns = dispatched_ns;
-        for (q, spec_key, submitted) in in_flight {
+        for (q, submitted) in in_flight {
             let mut cancelled_for_slo = false;
             let result = match submitted {
                 Ok(handle) => {
@@ -980,14 +980,7 @@ fn dispatcher_loop(
                         handle.cancel();
                         cancelled_for_slo = true;
                     }
-                    let run_stats = Arc::clone(handle.stats());
-                    let r = handle.wait();
-                    // Feed the completed general-path run back into the
-                    // specializer's shape profile.
-                    if let Some(key) = spec_key {
-                        plan.observe_run(key, run_stats.frames_spawned.load(Ordering::Relaxed));
-                    }
-                    r
+                    handle.wait()
                 }
                 Err(e) => Err(e),
             };

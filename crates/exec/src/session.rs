@@ -230,33 +230,18 @@ impl Session {
     /// The run is dispatched through the plan specializer
     /// ([`ModulePlan::resolve_for_feeds`]): a hot feed signature executes
     /// its promoted flat plan, everything else takes the general frame
-    /// machinery. Completed general-path runs feed their spawned-frame
-    /// count back into the shape profile.
+    /// machinery.
     pub fn run(&self, feeds: Vec<Tensor>) -> Result<Vec<Tensor>, ExecError> {
-        let (plan, key) = self.plan.resolve_for_feeds(&feeds);
-        let handle = self.exec.submit(&plan, &self.params, feeds, None, None)?;
-        let stats = Arc::clone(handle.stats());
-        let out = handle.wait();
-        if let Some(key) = key {
-            self.plan.observe_run(
-                key,
-                stats
-                    .frames_spawned
-                    .load(std::sync::atomic::Ordering::Relaxed),
-            );
-        }
-        out
+        self.submit_run(feeds)?.wait()
     }
 
     /// Starts an inference run without blocking (serving path).
     ///
     /// The returned [`RunHandle`] joins the run; any number may be in
-    /// flight at once, sharing the executor's worker pool. Hot feed
-    /// signatures dispatch to their promoted specialized plan; because the
-    /// caller owns the join, this path only *consumes* promotions (it never
-    /// feeds the shape profile).
+    /// flight at once, sharing the executor's worker pool. Plan resolution
+    /// is the same as [`Session::run`]'s.
     pub fn submit_run(&self, feeds: Vec<Tensor>) -> Result<RunHandle, ExecError> {
-        let (plan, _key) = self.plan.resolve_for_feeds(&feeds);
+        let plan = self.plan.resolve_for_feeds(&feeds);
         self.exec.submit(&plan, &self.params, feeds, None, None)
     }
 
@@ -267,32 +252,13 @@ impl Session {
     /// back positionally; each request fails or succeeds on its own (a bad
     /// feed in one request does not poison its neighbours).
     pub fn run_many(&self, feeds_list: Vec<Vec<Tensor>>) -> Vec<Result<Vec<Tensor>, ExecError>> {
-        let handles: Vec<Result<(RunHandle, Option<crate::SpecKey>), ExecError>> = feeds_list
+        let handles: Vec<_> = feeds_list
             .into_iter()
-            .map(|feeds| {
-                let (plan, key) = self.plan.resolve_for_feeds(&feeds);
-                self.exec
-                    .submit(&plan, &self.params, feeds, None, None)
-                    .map(|h| (h, key))
-            })
+            .map(|feeds| self.submit_run(feeds))
             .collect();
         handles
             .into_iter()
-            .map(|h| {
-                h.and_then(|(handle, key)| {
-                    let stats = Arc::clone(handle.stats());
-                    let r = handle.wait();
-                    if let Some(key) = key {
-                        self.plan.observe_run(
-                            key,
-                            stats
-                                .frames_spawned
-                                .load(std::sync::atomic::Ordering::Relaxed),
-                        );
-                    }
-                    r
-                })
-            })
+            .map(|h| h.and_then(RunHandle::wait))
             .collect()
     }
 

@@ -19,7 +19,7 @@
 //!    the profile has seen.
 
 use proptest::prelude::*;
-use rdg::exec::{ModulePlan, SpecializeOptions};
+use rdg::exec::{ModulePlan, RunHandle, SpecializeOptions};
 use rdg::graph::analyze::fuse_class;
 use rdg::graph::GraphRef;
 use rdg::prelude::*;
@@ -236,8 +236,7 @@ fn promoted_plans_preserve_fuse_signatures() {
         "fib(10) should promote after {} runs: {stats:?}",
         3
     );
-    let (promoted, key) = sess.plan().resolve_for_feeds(&feeds);
-    assert!(key.is_none(), "a promoted signature resolves with no key");
+    let promoted = sess.plan().resolve_for_feeds(&feeds);
     assert!(
         !Arc::ptr_eq(&promoted, sess.plan()),
         "promotion swaps in a distinct plan"
@@ -281,10 +280,9 @@ fn fib_specialized_matches_general_and_falls_back_on_new_shapes() {
         "fib unrolling should constant-fold the recursion: {stats:?}"
     );
     // Fallback: a signature never seen before resolves to the general
-    // plan (key present, same Arc) and completes correctly.
+    // plan (same Arc) and completes correctly.
     let fresh = vec![Tensor::scalar_i32(13)];
-    let (plan, key) = spec.plan().resolve_for_feeds(&fresh);
-    assert!(key.is_some(), "unobserved shape must carry a profile key");
+    let plan = spec.plan().resolve_for_feeds(&fresh);
     assert!(
         Arc::ptr_eq(&plan, spec.plan()),
         "unobserved shape must take the general plan"
@@ -452,4 +450,122 @@ fn provenance_covers_rewritten_main() {
     let prov = spec.provenance().expect("inlining rewrote main");
     let main = prov.get(&GraphRef::Main).expect("main provenance");
     assert_eq!(main.len(), spec.module.main.nodes.len());
+}
+
+/// A main graph whose only call frame is one `cond1` on an `i32` feed:
+/// its general run spawns the root frame plus a single branch frame.
+fn single_cond_module() -> Module {
+    let mut mb = ModuleBuilder::new();
+    let n = mb.main_input(DType::I32);
+    let zero = mb.const_i32(0);
+    let p = mb.igt(n, zero).expect("predicate");
+    let out = mb
+        .cond1(p, DType::I32, |b| b.identity(n), |b| b.identity(zero))
+        .expect("cond");
+    mb.set_outputs(&[out]).expect("outputs");
+    mb.finish().expect("single-cond module")
+}
+
+/// Promotions after feeding one signature three times through each
+/// inference entry point, each on a fresh session.
+fn promotions_per_entry_point(m: &Module, feeds: &[Tensor]) -> Vec<(&'static str, u64)> {
+    let exec = Executor::with_threads(2);
+    let fresh = || {
+        Session::with_options(Arc::clone(&exec), m.clone(), SpecializeOptions::default()).unwrap()
+    };
+    let mut out = Vec::new();
+    let s = fresh();
+    for _ in 0..3 {
+        s.run(feeds.to_vec()).unwrap();
+    }
+    out.push(("run", s.plan().spec_stats().promotions));
+    let s = fresh();
+    for r in s.run_many(vec![feeds.to_vec(); 3]) {
+        r.unwrap();
+    }
+    out.push(("run_many one batch", s.plan().spec_stats().promotions));
+    let s = fresh();
+    for _ in 0..3 {
+        for r in s.run_many(vec![feeds.to_vec()]) {
+            r.unwrap();
+        }
+    }
+    out.push(("run_many one per batch", s.plan().spec_stats().promotions));
+    let s = fresh();
+    let handles: Vec<_> = (0..3)
+        .map(|_| s.submit_run(feeds.to_vec()).unwrap())
+        .collect();
+    for h in handles {
+        h.wait().unwrap();
+    }
+    out.push(("submit_run", s.plan().spec_stats().promotions));
+    out
+}
+
+/// Promotion is decided from the plan-time expansion alone, so every
+/// inference entry point makes the same decision for the same signature,
+/// however its repeats are batched: a single resolved cond and a
+/// recursion are each promoted once everywhere.
+#[test]
+fn entry_points_agree_on_promotion() {
+    for (name, m, feeds, want) in [
+        (
+            "single-cond",
+            single_cond_module(),
+            vec![Tensor::scalar_i32(3)],
+            1,
+        ),
+        ("fib(7)", fib_module(), vec![Tensor::scalar_i32(7)], 1),
+    ] {
+        for (entry, promotions) in promotions_per_entry_point(&m, &feeds) {
+            assert_eq!(
+                promotions, want,
+                "{name} through {entry}: promotions {promotions}, want {want}"
+            );
+        }
+    }
+}
+
+/// The expansion counts exactly the frames it removes: the general run's
+/// spawned frames equal the promoted plan's unrolled frames plus the
+/// frames the promoted run still spawns (the root, as fib leaves no
+/// residual).
+#[test]
+fn unrolled_frames_match_general_frames_spawned() {
+    let exec = Executor::with_threads(2);
+    let frames_of = |h: RunHandle| {
+        let stats = Arc::clone(h.stats());
+        h.wait().unwrap();
+        stats
+            .frames_spawned
+            .load(std::sync::atomic::Ordering::Relaxed)
+    };
+    for n in [1i32, 2, 7, 12] {
+        let feeds = vec![Tensor::scalar_i32(n)];
+        let general = Session::with_options(
+            Arc::clone(&exec),
+            fib_module(),
+            SpecializeOptions::disabled(),
+        )
+        .unwrap();
+        let general_frames = frames_of(general.submit_run(feeds.clone()).unwrap());
+        let spec = Session::with_options(
+            Arc::clone(&exec),
+            fib_module(),
+            SpecializeOptions::default(),
+        )
+        .unwrap();
+        spec.run(feeds.clone()).unwrap();
+        let promoted_frames = frames_of(spec.submit_run(feeds).unwrap());
+        let stats = spec.plan().spec_stats();
+        assert_eq!(stats.promotions, 1, "fib({n}) promotes: {stats:?}");
+        assert_eq!(stats.residual_frames, 0, "fib({n}) folds fully: {stats:?}");
+        assert_eq!(promoted_frames, 1, "fib({n}) promoted run spawns the root");
+        assert_eq!(
+            stats.unrolled_frames + promoted_frames,
+            general_frames,
+            "fib({n}): unrolled {} + promoted-run frames {promoted_frames} vs general {general_frames}",
+            stats.unrolled_frames
+        );
+    }
 }
